@@ -86,6 +86,46 @@ func BenchmarkOpSearch(b *testing.B) {
 	})
 }
 
+// BenchmarkSearchCold is the wall-clock Fig. 10 without the 25 s
+// harness: point lookups of uniformly random present keys in the
+// serving mode (latch-free reads) over 16 M keys at fill 1.0 — about
+// 128 MB of leaf pages, far beyond the LLC and all resident in the
+// pool — so nearly every node visited is a DRAM miss, which is what the
+// fractal variants' node prefetch shortens. disk-optimized is the
+// prefetch-free control. `fpbench -inpage` measures warm nodes and
+// cannot show this.
+func BenchmarkSearchCold(b *testing.B) {
+	const keys = 16 << 20
+	entries := make([]Entry, keys)
+	for i := range entries {
+		k := Key(2*i + 1)
+		entries[i] = Entry{Key: k, TID: TupleID(k + 7)}
+	}
+	// Each tree is built once, not once per b.N round: set-up is a
+	// second or more, the measured loop a microsecond per op.
+	for _, v := range []Variant{DiskOptimized, MicroIndex, DiskFirst, CacheFirst} {
+		tr, err := New(WithVariant(v), WithConcurrency(1), WithBufferPages(12288))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.Bulkload(entries, 1.0); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(v.String(), func(b *testing.B) {
+			x := uint64(88172645463325252)
+			for i := 0; i < b.N; i++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				k := Key(x%keys)*2 + 1
+				if tid, ok, err := tr.Search(k); err != nil || !ok || tid != TupleID(k+7) {
+					b.Fatalf("Search(%d) = (%d, %v, %v)", k, tid, ok, err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkOpInsert(b *testing.B) {
 	forEachVariant(b, func(b *testing.B, v Variant) {
 		tr, g := benchTree(b, v, 200000)

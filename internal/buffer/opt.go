@@ -25,6 +25,8 @@ package buffer
 // regardless of validation. Race-enabled builds therefore exercise the
 // same call sites through the latched fallback path.
 
+import "repro/internal/latch"
+
 // OptPage is an optimistic view of a resident page: a data alias plus
 // the validation token. It holds no pin and no latch; the bytes may be
 // concurrently overwritten at any time and must not be trusted (or
@@ -40,11 +42,38 @@ type OptPage struct {
 	fst uint64
 	// ver is the page's latch version at snapshot time.
 	ver uint64
+	// absent is set only on the view a failed ReadOpt returns; see Miss.
+	absent bool
 }
 
 // Valid reports whether pg refers to a resolved page (the zero OptPage
 // does not).
 func (pg OptPage) Valid() bool { return pg.ID != 0 }
+
+// OptStatus is the outcome of one optimistic step: of a failed ReadOpt
+// (OptPage.Miss) and, built from those, of a whole descent attempt.
+type OptStatus uint8
+
+const (
+	// OptRetry: a writer interfered (exclusively latched page, failed
+	// validation, torn read). Restarting the descent can succeed.
+	OptRetry OptStatus = iota
+	// OptDone: the attempt completed and its results are valid.
+	OptDone
+	// OptAbsent: a page on the path is not resident or is mid-refill.
+	// No restart can succeed until someone pays the read, so the caller
+	// goes straight to the latched path, which does.
+	OptAbsent
+)
+
+// Miss says why the ReadOpt that returned pg failed: OptAbsent when the
+// page was not resident, OptRetry when it was resident but busy.
+func (pg OptPage) Miss() OptStatus {
+	if pg.absent {
+		return OptAbsent
+	}
+	return OptRetry
+}
 
 // OptSupported reports whether this pool can serve optimistic reads:
 // it must be a latched (concurrent) pool and the build must not have
@@ -52,13 +81,14 @@ func (pg OptPage) Valid() bool { return pg.ID != 0 }
 func (p *Pool) OptSupported() bool { return p.latches != nil && !raceEnabled }
 
 // ReadOpt resolves pid to an optimistic page view. ok=false means the
-// page is not resident, is mid-refill, or is exclusively latched — the
-// caller should fall back to a latched Get (which pays the I/O and the
-// latch anyway). No pin or latch is taken on success; pair every use
-// of the returned Data with a ValidateOpt check.
+// page is not resident or is mid-refill — the caller should fall back
+// to a latched Get, which pays the I/O — or is exclusively latched, in
+// which case a retry can succeed; Miss on the returned view tells the
+// two apart. No pin or latch is taken on success; pair every use of
+// the returned Data with a ValidateOpt check.
 func (p *Pool) ReadOpt(pid uint32) (OptPage, bool) {
 	if pid == 0 || !p.OptSupported() {
-		return OptPage{}, false
+		return OptPage{absent: true}, false
 	}
 	sh := p.shardFor(pid)
 	var i int
@@ -71,22 +101,22 @@ func (p *Pool) ReadOpt(pid uint32) (OptPage, bool) {
 		// Fast-slot miss: translate through the shard table. This takes
 		// the shard mutex briefly but still pins and latches nothing,
 		// and it repopulates the fast slot so the page's next optimistic
-		// read is store-free.
-		sh.mu.Lock()
+		// read is store-free. The holder may be mid-refill: spin for it.
+		latch.SpinLock(&sh.mu)
 		idx, ok := sh.table[pid]
 		if ok {
 			sh.fast[pid&(fastSize-1)].Store(packFast(pid, idx))
 		}
 		sh.mu.Unlock()
 		if !ok {
-			return OptPage{}, false
+			return OptPage{absent: true}, false
 		}
 		i = idx
 	}
 	f := &sh.frames[i]
 	st := f.state.Load()
 	if st&frameValidBit == 0 || f.readyAt.Load() != 0 || f.pid.Load() != pid {
-		return OptPage{}, false
+		return OptPage{absent: true}, false
 	}
 	ver, ok := p.latches.ReadVersion(pid)
 	if !ok {

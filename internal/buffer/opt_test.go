@@ -43,8 +43,12 @@ func TestReadOptValidateUntouched(t *testing.T) {
 func TestReadOptRejectsWriteLocked(t *testing.T) {
 	p, pid := newOptPool(t)
 	p.Latches().Lock(pid)
-	if _, ok := p.ReadOpt(pid); ok {
+	pg, ok := p.ReadOpt(pid)
+	if ok {
 		t.Fatal("ReadOpt succeeded on an exclusively latched page")
+	}
+	if pg.Miss() != OptRetry {
+		t.Fatalf("resident but latched page: Miss() = %d, want OptRetry", pg.Miss())
 	}
 	p.Latches().Unlock(pid)
 	if _, ok := p.ReadOpt(pid); !ok {
@@ -124,11 +128,34 @@ func TestValidateOptSeesEviction(t *testing.T) {
 	if p.ValidateOpt(pg) {
 		t.Fatal("ValidateOpt passed after the frame was evicted and reused")
 	}
+	// The evicted page now fails ReadOpt as absent — retrying cannot
+	// help — through the stale fast slot and through the shard table
+	// alike, and is readable again once a latched Get has paid the read.
+	for try := 0; try < 2; try++ {
+		miss, ok := p.ReadOpt(pidA)
+		if ok {
+			t.Fatal("ReadOpt succeeded on an evicted page")
+		}
+		if miss.Miss() != OptAbsent {
+			t.Fatalf("evicted page, try %d: Miss() = %d, want OptAbsent", try, miss.Miss())
+		}
+	}
+	if a, err = p.Get(pidA); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(a, false)
+	if _, ok := p.ReadOpt(pidA); !ok {
+		t.Fatal("ReadOpt failed after Get brought the page back")
+	}
 }
 
 func TestReadOptMissReturnsFalse(t *testing.T) {
 	p, pid := newOptPool(t)
-	if _, ok := p.ReadOpt(pid + 1000); ok {
+	pg, ok := p.ReadOpt(pid + 1000)
+	if ok {
 		t.Fatal("ReadOpt fabricated a snapshot for a nonexistent page")
+	}
+	if pg.Miss() != OptAbsent {
+		t.Fatalf("nonexistent page: Miss() = %d, want OptAbsent", pg.Miss())
 	}
 }

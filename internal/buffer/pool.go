@@ -587,7 +587,7 @@ func (p *Pool) get(pid uint32, mode latchMode) (Page, bool, error) {
 		return p.latchPinned(sh, pg, mode)
 	}
 	p.stats.lockedGets.Add(1)
-	sh.mu.Lock()
+	latch.SpinLock(&sh.mu)
 	if i, ok := sh.table[pid]; ok {
 		sh.fast[pid&(fastSize-1)].Store(packFast(pid, i))
 		pg := p.pinHitLocked(sh, pid, i)
@@ -760,7 +760,7 @@ func (p *Pool) Prefetch(pid uint32) error {
 		return nil
 	}
 	sh := p.shardFor(pid)
-	sh.mu.Lock()
+	latch.SpinLock(&sh.mu)
 	defer sh.mu.Unlock()
 	if _, ok := sh.table[pid]; ok {
 		return nil

@@ -460,7 +460,7 @@ func (t *CacheFirst) allocOverflowSlot(held buffer.Page) (ptr, error) {
 
 // visitNode prefetches all lines of a node (pB+-Tree discipline).
 func (t *CacheFirst) visitNode(pg buffer.Page, off int) {
-	t.mm.Prefetch(pg.Addr+uint64(nodeBase(off)), t.s*lineSize)
+	prefetchNode(t.mm, pg, off, t.s)
 	t.mm.Busy(memsim.CostNodeVisit)
 	t.mm.Access(pg.Addr+uint64(nodeBase(off)), cfNodeHdr)
 	t.ops.NodeVisits.Add(1)

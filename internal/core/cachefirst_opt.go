@@ -19,53 +19,57 @@ import (
 )
 
 // searchOpt runs the optimistic point lookup. handled=false means the
-// optimistic path is unavailable or exhausted its restart budget and
-// the caller must run the latched descent.
+// optimistic path is unavailable, met a non-resident page or exhausted
+// its restart budget, and the caller must run the latched descent.
 func (t *CacheFirst) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool) {
 	if !t.opt || !t.mm.Concurrent() {
 		return 0, false, false
 	}
 	lt := t.pool.Latches()
 	var b latch.Backoff
-	for attempt := 0; attempt <= optMaxRestarts; attempt++ {
-		if attempt > 0 {
-			lt.OptRestart()
-			b.Pause()
-		}
-		tid, found, ok := t.searchOptAttempt(k)
-		if ok {
+	for attempt := 0; ; attempt++ {
+		tid, found, st := t.searchOptAttempt(k)
+		if st == buffer.OptDone {
 			return tid, found, true
 		}
+		// A non-resident page fails every restart until someone reads it
+		// in: leave the budget unspent and let the latched path pay.
+		if st == buffer.OptAbsent || attempt == optMaxRestarts {
+			break
+		}
+		lt.OptRestart()
+		b.Pause()
 	}
 	lt.OptFallback()
 	return 0, false, false
 }
 
 // searchOptAttempt is one latch-free descent attempt; results are only
-// meaningful when ok.
-func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok bool) {
+// meaningful when st is buffer.OptDone.
+func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st buffer.OptStatus) {
 	// A torn read can yield wild node offsets before validation gets to
 	// reject them; convert the resulting bounds panic into a restart.
 	defer func() {
 		if recover() != nil {
-			tid, found, ok = 0, false, false
+			tid, found, st = 0, false, buffer.OptRetry
 		}
 	}()
 	e := t.reloc.Load()
 	if e&1 != 0 {
 		// A relocation is in flight; let the restart loop back off.
-		return 0, false, false
+		return 0, false, buffer.OptRetry
 	}
 	root, height := t.rootPtrHeight()
 	if root.isNil() {
-		return 0, false, true
+		return 0, false, buffer.OptDone
 	}
 	pg, okr := t.readOptPage(root.pid, e)
 	if !okr {
-		return 0, false, false
+		return 0, false, pg.Miss()
 	}
 	cur := root
 	for lvl := height - 1; lvl > 0; lvl-- {
+		prefetchNode(t.mm, buffer.Page{Data: pg.Data}, cur.off, t.s)
 		slot, _ := t.searchNode(buffer.Page{Data: pg.Data}, cur.off, k, true)
 		if slot < 0 {
 			slot = 0
@@ -74,17 +78,17 @@ func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok boo
 		// Validate before following the ⟨pid, off⟩ pair anywhere — even
 		// within the same page, a torn read could fabricate the offset.
 		if !t.pool.ValidateOpt(pg) || child.isNil() {
-			return 0, false, false
+			return 0, false, buffer.OptRetry
 		}
 		if child.pid != pg.ID {
 			if pg, okr = t.readOptPage(child.pid, e); !okr {
-				return 0, false, false
+				return 0, false, pg.Miss()
 			}
 		}
 		cur = child
 	}
 	if cur.isNil() {
-		return 0, false, true
+		return 0, false, buffer.OptDone
 	}
 	// Forward walk over the leaf-node chain for the first entry == k.
 	// The per-page hop bound mirrors the disk-first walk: a torn chain
@@ -93,37 +97,42 @@ func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok boo
 	for !cur.isNil() {
 		if cur.pid != pg.ID {
 			if pg, okr = t.readOptPage(cur.pid, e); !okr {
-				return 0, false, false
+				return 0, false, pg.Miss()
 			}
 			hops = 0
 		} else if hops++; hops > t.pageLines {
-			return 0, false, false
+			return 0, false, buffer.OptRetry
 		}
+		prefetchNode(t.mm, buffer.Page{Data: pg.Data}, cur.off, t.s)
 		slot, _ := t.searchNode(buffer.Page{Data: pg.Data}, cur.off, k, true)
 		slot = t.cNextOccupied(pg.Data, cur.off, slot+1)
 		if slot >= 0 {
 			key := t.cKey(pg.Data, cur.off, slot)
 			tid := t.cTid(pg.Data, cur.off, slot)
 			if !t.pool.ValidateOpt(pg) {
-				return 0, false, false
+				return 0, false, buffer.OptRetry
 			}
-			return tid, key == k, true
+			return tid, key == k, buffer.OptDone
 		}
 		next := t.cNextLeaf(pg.Data, cur.off)
 		if !t.pool.ValidateOpt(pg) {
-			return 0, false, false
+			return 0, false, buffer.OptRetry
 		}
 		cur = next
 	}
-	return 0, false, true
+	return 0, false, buffer.OptDone
 }
 
 // readOptPage resolves pid optimistically and re-checks the relocation
 // epoch after the snapshot, mirroring the latched protocol's check
-// after every cross-page pin.
+// after every cross-page pin. Like ReadOpt, a failure returns a view
+// whose Miss says why (a moved epoch is a retry).
 func (t *CacheFirst) readOptPage(pid uint32, e uint64) (buffer.OptPage, bool) {
 	pg, ok := t.pool.ReadOpt(pid)
-	if !ok || t.reloc.Load() != e {
+	if !ok {
+		return pg, false
+	}
+	if t.reloc.Load() != e {
 		return buffer.OptPage{}, false
 	}
 	return pg, true

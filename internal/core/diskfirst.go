@@ -27,6 +27,7 @@ import (
 	"repro/internal/idx"
 	"repro/internal/memsim"
 	"repro/internal/obs"
+	"repro/internal/prefetch"
 	"repro/internal/sizing"
 )
 
@@ -374,8 +375,20 @@ func (t *DiskFirst) freeCount(d []byte, leafNode bool) int {
 
 // --- charged access helpers ---
 
+// prefetchNode prefetches the `lines` cache lines of pg starting at line
+// off, for the model (a charge; frozen in serving mode) and for the
+// machine (hardware prefetch instructions). Both variants call it
+// wherever a node's position becomes known. The hardware half clamps to
+// the page and dereferences nothing, so off may come from an
+// unvalidated optimistic snapshot (pg.Addr is then 0 and the model
+// frozen).
+func prefetchNode(mm *memsim.Model, pg buffer.Page, off, lines int) {
+	mm.Prefetch(pg.Addr+uint64(nodeBase(off)), lines*lineSize)
+	prefetch.Range(pg.Data, nodeBase(off), lines*lineSize)
+}
+
 func (t *DiskFirst) visitNonleaf(pg buffer.Page, off int) {
-	t.mm.Prefetch(pg.Addr+uint64(nodeBase(off)), t.w*lineSize)
+	prefetchNode(t.mm, pg, off, t.w)
 	t.mm.Busy(memsim.CostNodeVisit)
 	t.mm.Access(pg.Addr+uint64(nodeBase(off)), dfNonHdr)
 	t.ops.NodeVisits.Add(1)
@@ -385,7 +398,7 @@ func (t *DiskFirst) visitNonleaf(pg buffer.Page, off int) {
 }
 
 func (t *DiskFirst) visitLeaf(pg buffer.Page, off int) {
-	t.mm.Prefetch(pg.Addr+uint64(nodeBase(off)), t.x*lineSize)
+	prefetchNode(t.mm, pg, off, t.x)
 	t.mm.Busy(memsim.CostNodeVisit)
 	t.mm.Access(pg.Addr+uint64(nodeBase(off)), dfLeafHdr)
 	t.ops.NodeVisits.Add(1)

@@ -9,10 +9,11 @@ package core
 // bytes — the child page ID, the in-page next-node offset, the
 // page-level next pointer, the tuple ID — is re-validated with
 // buffer.ValidateOpt before it is trusted or followed. Any validation
-// failure, write-locked observation, or non-resident page restarts the
-// whole descent from the (atomic) root triple; after optMaxRestarts
-// restarts the reader falls back to the shared-latch path so writer
-// storms cannot livelock it.
+// failure or write-locked observation restarts the whole descent from
+// the (atomic) root triple; after optMaxRestarts restarts the reader
+// falls back to the shared-latch path so writer storms cannot livelock
+// it. A non-resident page falls back at once: no restart can succeed
+// before the latched path has paid the read.
 
 import (
 	"repro/internal/buffer"
@@ -25,54 +26,58 @@ import (
 const optMaxRestarts = 8
 
 // searchOpt runs the optimistic point lookup. handled=false means the
-// optimistic path is unavailable or gave up (restart budget exhausted)
-// and the caller must run the latched descent.
+// optimistic path is unavailable or gave up (non-resident page, or
+// restart budget exhausted) and the caller must run the latched descent.
 func (t *DiskFirst) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool) {
 	if !t.opt || !t.mm.Concurrent() {
 		return 0, false, false
 	}
 	lt := t.pool.Latches()
 	var b latch.Backoff
-	for attempt := 0; attempt <= optMaxRestarts; attempt++ {
-		if attempt > 0 {
-			lt.OptRestart()
-			b.Pause()
-		}
-		tid, found, ok := t.searchOptAttempt(k)
-		if ok {
+	for attempt := 0; ; attempt++ {
+		tid, found, st := t.searchOptAttempt(k)
+		if st == buffer.OptDone {
 			return tid, found, true
 		}
+		// A non-resident page fails every restart until someone reads it
+		// in: leave the budget unspent and let the latched path pay.
+		if st == buffer.OptAbsent || attempt == optMaxRestarts {
+			break
+		}
+		lt.OptRestart()
+		b.Pause()
 	}
 	lt.OptFallback()
 	return 0, false, false
 }
 
-// searchOptAttempt is one latch-free descent attempt. ok=false means
-// the attempt observed interference (or a non-resident page) and must
-// be retried or abandoned; the results are only meaningful when ok.
-func (t *DiskFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok bool) {
+// searchOptAttempt is one latch-free descent attempt. OptRetry means
+// the attempt observed interference and may be retried, OptAbsent that
+// it met a non-resident page and must be abandoned; the results are
+// only meaningful when st is buffer.OptDone.
+func (t *DiskFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st buffer.OptStatus) {
 	// A torn read can yield wild in-page offsets before validation gets
 	// to reject them; convert the resulting bounds panic into a restart.
 	defer func() {
 		if recover() != nil {
-			tid, found, ok = 0, false, false
+			tid, found, st = 0, false, buffer.OptRetry
 		}
 	}()
 	root, height := t.rootHeight()
 	if root == 0 {
-		return 0, false, true
+		return 0, false, buffer.OptDone
 	}
 	pid := root
 	for lvl := height - 1; lvl > 0; lvl-- {
 		pg, okr := t.pool.ReadOpt(pid)
 		if !okr {
-			return 0, false, false
+			return 0, false, pg.Miss()
 		}
 		child := t.inPageChildForOpt(pg.Data, k, true)
 		// Validate before following child: an unvalidated pointer may
 		// come from a torn read or a mid-restructure page image.
 		if !t.pool.ValidateOpt(pg) || child == 0 {
-			return 0, false, false
+			return 0, false, buffer.OptRetry
 		}
 		pid = child
 	}
@@ -80,7 +85,7 @@ func (t *DiskFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok bool
 	for pid != 0 {
 		pg, okr := t.pool.ReadOpt(pid)
 		if !okr {
-			return 0, false, false
+			return 0, false, pg.Miss()
 		}
 		d := pg.Data
 		if dfEntries(d) == 0 {
@@ -88,7 +93,7 @@ func (t *DiskFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok bool
 			// the next pointer before it is followed.
 			next := dfNextPage(d)
 			if !t.pool.ValidateOpt(pg) {
-				return 0, false, false
+				return 0, false, buffer.OptRetry
 			}
 			pid = next
 			first = false
@@ -105,35 +110,39 @@ func (t *DiskFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok bool
 		// torn next-offset chain could otherwise cycle, and unlike a
 		// wild offset a cycle never faults into the recover above.
 		for hops := 0; off != 0 && hops < t.pageLines; hops++ {
+			prefetchNode(t.mm, buffer.Page{Data: d}, off, t.x)
 			slot, _ := t.searchLeafNode(buffer.Page{Data: d}, off, k, true)
 			slot = t.lNextOccupied(d, off, slot+1)
 			if slot >= 0 {
 				key := t.lKey(d, off, slot)
 				tid := t.lPtr(d, off, slot)
 				if !t.pool.ValidateOpt(pg) {
-					return 0, false, false
+					return 0, false, buffer.OptRetry
 				}
-				return tid, key == k, true
+				return tid, key == k, buffer.OptDone
 			}
 			off = t.lNext(d, off)
 		}
 		next := dfNextPage(d)
 		if !t.pool.ValidateOpt(pg) {
-			return 0, false, false
+			return 0, false, buffer.OptRetry
 		}
 		pid = next
 	}
-	return 0, false, true
+	return 0, false, buffer.OptDone
 }
 
 // descendInPageOpt is descendInPage minus the node-visit charges and
 // stats: the charge entry points are frozen no-ops in serving mode and
 // the NodeVisits counter would be an atomic store on the latch-free
-// path. The data passed in is an unvalidated optimistic snapshot.
+// path. Each nonleaf node is still prefetched as its offset becomes
+// known (the caller prefetches the leaf node returned). The data passed
+// in is an unvalidated optimistic snapshot.
 func (t *DiskFirst) descendInPageOpt(d []byte, k idx.Key, lt bool) int {
 	pg := buffer.Page{Data: d}
 	off := dfRoot(d)
 	for lvl := dfInLevels(d); lvl > 1; lvl-- {
+		prefetchNode(t.mm, pg, off, t.w)
 		slot := t.searchNonleaf(pg, off, k, lt)
 		if slot < 0 {
 			slot = 0
@@ -147,6 +156,7 @@ func (t *DiskFirst) descendInPageOpt(d []byte, k idx.Key, lt bool) int {
 // snapshot (no charges, no visit stats).
 func (t *DiskFirst) inPageChildForOpt(d []byte, k idx.Key, lt bool) uint32 {
 	off := t.descendInPageOpt(d, k, lt)
+	prefetchNode(t.mm, buffer.Page{Data: d}, off, t.x)
 	slot, _ := t.searchLeafNode(buffer.Page{Data: d}, off, k, lt)
 	if slot < 0 {
 		slot = 0

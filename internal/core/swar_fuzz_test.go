@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/idx"
+	"repro/internal/memsim"
 )
 
 // FuzzInPageSearch feeds arbitrary slot layouts through the raw SWAR
@@ -137,5 +138,26 @@ func FuzzInPageSearch(f *testing.F) {
 			t.Fatalf("swarScanGapped(%v, %v, lt=%v) anyEq = %v, want %v",
 				physical, k, lt, gotEq, anyEq)
 		}
+	})
+}
+
+// FuzzPrefetchNode hands prefetchNode arbitrary page sizes, node
+// offsets and line counts: it must clamp, never panic, and leave the
+// page bytes alone.
+func FuzzPrefetchNode(f *testing.F) {
+	f.Add(uint16(4096), int64(1), int64(8))
+	f.Add(uint16(4096), int64(-1), int64(8))
+	f.Add(uint16(4096), int64(63), int64(2))
+	f.Add(uint16(100), int64(1), int64(0))
+	f.Add(uint16(0), int64(0), int64(1))
+	f.Add(uint16(1024), int64(1)<<58, int64(1)<<58)
+	mm := memsim.NewDefault()
+	mm.SetConcurrent(true)
+	f.Fuzz(func(t *testing.T, size uint16, off, lines int64) {
+		d := make([]byte, size)
+		for i := range d {
+			d[i] = byte(i)
+		}
+		checkPrefetchNode(t, mm, d, int(off), int(lines))
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/buffer"
+	"repro/internal/latch"
 )
 
 // TrailerSize is the per-page integrity trailer, carved off the end of
@@ -140,7 +141,7 @@ func (s *ChecksumStore) WritePage(pid uint32, src []byte, now uint64) (uint64, e
 // ReadPage implements buffer.Store: read the physical page and verify
 // the trailer before releasing the data to the caller.
 func (s *ChecksumStore) ReadPage(pid uint32, dst []byte, now uint64) (uint64, error) {
-	s.mu.Lock()
+	latch.SpinLock(&s.mu)
 	defer s.mu.Unlock()
 	done, err := s.inner.ReadPage(pid, s.scratch, now)
 	if err != nil {

@@ -322,6 +322,31 @@ func (b *Backoff) Attempts() int { return int(b.n) }
 // Reset rewinds the backoff to its initial (spinning) phase.
 func (b *Backoff) Reset() { b.n = 0 }
 
+// spinLockTries bounds SpinLock's spin phase: each try is a load of the
+// mutex word and sixteen spin hints, about 30 ns, so about 30 µs in
+// all — several page refills from the OS page cache.
+const spinLockTries = 1000
+
+// SpinLock locks mu, spinning briefly before it parks. It is for the
+// mutexes a buffer-pool miss holds across its page read (the pool
+// shard's, the checksum store's): when the read comes from the OS page
+// cache the holder is done in microseconds, while a parked waiter
+// waits for a scheduler wake-up that can cost a hundred times that
+// (DESIGN.md §11.6, restart and fallback rule). A holder slower than
+// the spin budget — a real disk read, a descheduled goroutine — is
+// waited for asleep, as with a plain Lock.
+func SpinLock(mu *sync.Mutex) {
+	for i := 0; i < spinLockTries; i++ {
+		if mu.TryLock() {
+			return
+		}
+		for j := 0; j < 16; j++ {
+			spinHint()
+		}
+	}
+	mu.Lock()
+}
+
 // spinHint burns one call's worth of CPU without touching memory. The
 // noinline pragma keeps the compiler from deleting the spin loop.
 //

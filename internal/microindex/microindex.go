@@ -30,6 +30,7 @@ import (
 	"repro/internal/idx"
 	"repro/internal/memsim"
 	"repro/internal/obs"
+	"repro/internal/prefetch"
 	"repro/internal/sizing"
 )
 
@@ -233,6 +234,16 @@ func (t *Tree) rebuildMicro(pg buffer.Page, from int) {
 
 // --- charged access paths ---
 
+// prefetchSpan prefetches size bytes of pg from byte offset off, for
+// the model (a charge; frozen in serving mode) and for the machine
+// (hardware prefetch instructions). The hardware half clamps to the
+// page and dereferences nothing, so off and size may come from an
+// unvalidated optimistic snapshot (pg.Addr is then 0).
+func (t *Tree) prefetchSpan(pg buffer.Page, off, size int) {
+	t.mm.Prefetch(pg.Addr+uint64(off), size)
+	prefetch.Range(pg.Data, off, size)
+}
+
 func (t *Tree) touchHeader(pg buffer.Page) {
 	t.mm.Access(pg.Addr, 16)
 	t.mm.Busy(memsim.CostNodeVisit)
@@ -266,7 +277,7 @@ func (t *Tree) searchPage(pg buffer.Page, k idx.Key, lt bool) (int, bool) {
 	}
 	subs := t.subCount(n)
 	// Prefetch and binary search the micro index.
-	t.mm.Prefetch(pg.Addr+uint64(t.microOff), ((subs*4+memsim.LineSize-1)/memsim.LineSize)*memsim.LineSize)
+	t.prefetchSpan(pg, t.microOff, ((subs*4+memsim.LineSize-1)/memsim.LineSize)*memsim.LineSize)
 	lo, hi := 0, subs
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -287,8 +298,8 @@ func (t *Tree) searchPage(pg buffer.Page, k idx.Key, lt bool) (int, bool) {
 	if end > n {
 		end = n
 	}
-	t.mm.Prefetch(pg.Addr+uint64(t.keyOff(start)), t.subLines*memsim.LineSize)
-	t.mm.Prefetch(pg.Addr+uint64(t.ptrOff(start)), t.subLines*memsim.LineSize)
+	t.prefetchSpan(pg, t.keyOff(start), t.subLines*memsim.LineSize)
+	t.prefetchSpan(pg, t.ptrOff(start), t.subLines*memsim.LineSize)
 	// Binary search within the sub-array.
 	lo, hi = start, end
 	exact := false

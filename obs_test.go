@@ -192,3 +192,44 @@ func TestSearchBatchWarmAllocsTraced(t *testing.T) {
 		})
 	}
 }
+
+// TestSearchWarmAllocs: a warm point lookup allocates nothing on any
+// variant, in the simulated mode (latched descent through the visit
+// helpers) and in the serving mode (latch-free descent), with the
+// hardware prefetch on both paths.
+func TestSearchWarmAllocs(t *testing.T) {
+	for _, v := range []Variant{DiskFirst, CacheFirst, DiskOptimized, MicroIndex} {
+		for _, serving := range []bool{false, true} {
+			name := v.String() + "/simulated"
+			opts := []Option{WithVariant(v), WithPageSize(4 << 10), WithBufferPages(4096)}
+			if serving {
+				name = v.String() + "/serving"
+				opts = append(opts, WithConcurrency(2))
+			}
+			t.Run(name, func(t *testing.T) {
+				tr, err := New(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				es := workload.New(5).BulkEntries(20000)
+				if err := tr.Bulkload(es, 0.8); err != nil {
+					t.Fatal(err)
+				}
+				i := 0
+				search := func() {
+					e := es[i*31%len(es)]
+					i++
+					if tid, ok, err := tr.Search(e.Key); err != nil || !ok || tid != e.TID {
+						t.Fatalf("Search(%d) = (%d, %v, %v), want (%d, true, nil)", e.Key, tid, ok, err, e.TID)
+					}
+				}
+				for n := 0; n < 2000; n++ {
+					search()
+				}
+				if allocs := testing.AllocsPerRun(500, search); allocs != 0 {
+					t.Fatalf("warm Search allocates %.1f objects/op, want 0", allocs)
+				}
+			})
+		}
+	}
+}

@@ -202,3 +202,63 @@ func TestOptimisticSplitStormBounded(t *testing.T) {
 		})
 	}
 }
+
+// TestOptimisticColdPoolFallsBackOnce: a non-resident page is not
+// interference. A lookup that meets one must leave the restart budget
+// unspent and go straight to the latched path, which pays the read, so
+// over a cold pool with no writers there are no restarts at all and
+// exactly one fallback per page read in. (The first lookup warms the
+// nonleaf path, so each later miss is one leaf page.)
+func TestOptimisticColdPoolFallsBackOnce(t *testing.T) {
+	const keys = 3000
+	for _, v := range []Variant{DiskFirst, CacheFirst, DiskOptimized, MicroIndex} {
+		t.Run(v.String(), func(t *testing.T) {
+			tr, err := New(WithVariant(v), WithConcurrency(2), WithPageSize(4<<10), WithBufferPages(1024))
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries := make([]Entry, keys)
+			for i := range entries {
+				k := Key(2*i + 1)
+				entries[i] = Entry{Key: k, TID: TupleID(k + 7)}
+			}
+			if err := tr.Bulkload(entries, 0.9); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Height() != 2 {
+				t.Fatalf("height %d, want 2 (one nonleaf level)", tr.Height())
+			}
+			if err := tr.DropBufferPool(); err != nil {
+				t.Fatal(err)
+			}
+			search := func(i int) {
+				k := entries[i].Key
+				if tid, ok, err := tr.Search(k); err != nil || !ok || tid != TupleID(k+7) {
+					t.Fatalf("Search(%d) = (%d, %v, %v), want (%d, true, nil)", k, tid, ok, err, k+7)
+				}
+			}
+			search(0)
+			pass := func() (restarts, fallbacks, misses uint64) {
+				base, b0 := tr.MetricsSnapshot(), tr.BufferStats()
+				for i := range entries {
+					search(i)
+				}
+				snap, b1 := tr.MetricsSnapshot(), tr.BufferStats()
+				return snap.Counters["latch.opt_restarts"] - base.Counters["latch.opt_restarts"],
+					snap.Counters["latch.opt_fallbacks"] - base.Counters["latch.opt_fallbacks"],
+					b1.DemandMisses - b0.DemandMisses
+			}
+			restarts, fallbacks, misses := pass()
+			if restarts != 0 {
+				t.Errorf("cold pool: %d restarts, want 0", restarts)
+			}
+			if fallbacks == 0 || fallbacks != misses {
+				t.Errorf("cold pool: %d fallbacks for %d misses, want equal and nonzero", fallbacks, misses)
+			}
+			restarts, fallbacks, misses = pass()
+			if restarts != 0 || fallbacks != 0 || misses != 0 {
+				t.Errorf("warm pool: %d restarts, %d fallbacks, %d misses, want none", restarts, fallbacks, misses)
+			}
+		})
+	}
+}
