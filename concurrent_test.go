@@ -8,9 +8,10 @@ import (
 
 // TestConcurrentMixedStress runs 2 reader + 2 writer goroutines against
 // a WithConcurrency(4) tree of every disk-resident variant: readers
-// search random keys and range-scan while writers insert disjoint
-// even-key sets, then the final tree is checked structurally and
-// differentially against the exact reference model. Run under -race.
+// search random keys and range-scan in both directions while writers
+// insert disjoint even-key sets, then the final tree is checked
+// structurally and differentially against the exact reference model.
+// Run under -race.
 func TestConcurrentMixedStress(t *testing.T) {
 	for _, v := range []Variant{DiskFirst, CacheFirst, DiskOptimized, MicroIndex} {
 		v := v
@@ -82,6 +83,10 @@ func TestConcurrentMixedStress(t *testing.T) {
 								errs <- fmt.Errorf("reader %d: RangeScan saw inconsistent tuple", w)
 								return
 							}
+							if err := reverseScanDiff(tr, lo, lo+64, maxKey); err != nil {
+								errs <- fmt.Errorf("reader %d: %v", w, err)
+								return
+							}
 						}
 					}
 				}(w)
@@ -149,5 +154,51 @@ func TestConcurrentMixedStress(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// reverseScanDiff checks one RangeScanReverse(lo, hi) taken while
+// writers insert even keys into a tree bulkloaded with the odd keys
+// below maxKey, all with TID = key+7: every entry seen must carry its
+// tuple, lie in range and descend strictly, and the odd keys seen must
+// be exactly the odd keys of the range. A reverse scan walks against
+// the direction splits move entries, so one scan may miss what a split
+// racing its page hop moved right of it; an odd key missing from three
+// scans in a row is not that race.
+func reverseScanDiff(tr *Tree, lo, hi, maxKey Key) error {
+	wantOdd := 0
+	for k := lo | 1; k <= hi && k < maxKey; k += 2 {
+		wantOdd++
+	}
+	for try := 1; ; try++ {
+		var bad error
+		gotOdd, last, have := 0, Key(0), false
+		_, err := tr.RangeScanReverse(lo, hi, func(k Key, tid TupleID) bool {
+			switch {
+			case tid != TupleID(k+7):
+				bad = fmt.Errorf("RangeScanReverse(%d,%d): key %d has tuple %d", lo, hi, k, tid)
+			case k < lo || k > hi:
+				bad = fmt.Errorf("RangeScanReverse(%d,%d): key %d out of range", lo, hi, k)
+			case have && k >= last:
+				bad = fmt.Errorf("RangeScanReverse(%d,%d): key %d after %d", lo, hi, k, last)
+			}
+			if k%2 == 1 {
+				gotOdd++
+			}
+			last, have = k, true
+			return bad == nil
+		})
+		if err != nil {
+			return fmt.Errorf("RangeScanReverse(%d,%d): %v", lo, hi, err)
+		}
+		if bad != nil {
+			return bad
+		}
+		if gotOdd == wantOdd {
+			return nil
+		}
+		if try == 3 {
+			return fmt.Errorf("RangeScanReverse(%d,%d): saw %d of the %d bulkloaded keys, three times running", lo, hi, gotOdd, wantOdd)
+		}
 	}
 }

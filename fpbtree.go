@@ -33,7 +33,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/idx"
 	"repro/internal/memsim"
-	"repro/internal/microindex"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -509,7 +508,7 @@ func New(options ...Option) (*Tree, error) {
 			Trace: substrateTracer, OptimisticReads: optReads,
 		})
 	case MicroIndex:
-		index, err = microindex.New(microindex.Config{Pool: pool, Model: mm, Trace: substrateTracer, OptimisticReads: optReads})
+		index, err = bptree.New(bptree.Config{Pool: pool, Model: mm, MicroIndex: true, Trace: substrateTracer, OptimisticReads: optReads})
 	default:
 		err = fmt.Errorf("fpbtree: unknown variant %d", o.Variant)
 	}

@@ -56,7 +56,7 @@ func (t *Tree) SearchBatch(keys []idx.Key, out []idx.SearchResult) ([]idx.Search
 			j := i
 			for ; j < n && s.Cur[j] == pid; j++ {
 				k := keys[s.Ord[j]]
-				slot := t.searchPageLT(pg, k)
+				slot, _ := t.searchPage(pg, k, true)
 				if slot < 0 {
 					slot = 0
 				}
@@ -103,7 +103,8 @@ func (t *Tree) resolveLeaf(pg buffer.Page, k idx.Key) (idx.TupleID, bool, error)
 	cur := pg
 	owned := false
 	for {
-		slot := t.searchPageLT(cur, k) + 1
+		slot, _ := t.searchPage(cur, k, true)
+		slot++
 		if slot < pCount(cur.Data) {
 			t.mm.Access(cur.Addr+uint64(t.keyOff(slot)), idx.KeySize)
 			if t.key(cur.Data, slot) == k {

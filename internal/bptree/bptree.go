@@ -1,9 +1,28 @@
-// Package bptree implements the paper's baseline: a traditional
-// disk-optimized B+-Tree whose nodes are disk pages (§3, Figure 3(a)).
-// Each page holds a sorted key array and a parallel pointer array
-// (partitioned for better cache behaviour, §4.1); searches binary
-// search the page-wide array, which is exactly the access pattern whose
-// poor spatial locality the paper diagnoses.
+// Package bptree implements the paper's two page-per-node baselines as
+// one B+-Tree with two page layouts (§3).
+//
+// The plain layout is the traditional disk-optimized B+-Tree (Figure
+// 3(a)): each page holds a sorted key array and a parallel pointer
+// array (partitioned for better cache behaviour, §4.1), and searches
+// binary search the page-wide array — exactly the access pattern whose
+// poor spatial locality the paper diagnoses. It issues no cache
+// prefetch of any kind: it is the paper's baseline and the wall-clock
+// benchmark's control cell.
+//
+// The micro layout is Lomet's micro-indexing (Figure 4), which this
+// paper is the first to evaluate in detail: the same page plus a small
+// in-page micro index holding the first key of every key sub-array. A
+// search probes the micro index (a few cache lines) to pick the
+// sub-array, then searches only that sub-array, with pB+-Tree-style
+// prefetching of the micro index and the chosen key and pointer
+// sub-arrays. Updates still shift the page-wide arrays and must rebuild
+// the affected micro-index suffix, which is why the paper finds its
+// update performance "almost as poor as disk-optimized B+-Trees"
+// (§4.2.2).
+//
+// The layout shows only in the in-page kernels of layout.go; the
+// descent, crabbing, optimistic, batch, scan, scavenge and recovery
+// code exists once and never asks which layout it runs on.
 //
 // The tree optionally maintains the page-level internal jump-pointer
 // array of §2.2 (sibling links between leaf-parent pages) so that range
@@ -32,8 +51,10 @@ import (
 //	off 8  prev     uint32
 //	off 12 jpNext   uint32 (leaf-parent jump-pointer sibling)
 //
-// Keys start at byte 64; pointers (tuple IDs on leaves, child page IDs
-// on internal pages) start at 64 + 4*cap.
+// On the plain layout keys start at byte 64 and pointers (tuple IDs on
+// leaves, child page IDs on internal pages) at 64 + 4*cap. The micro
+// layout puts the micro index (one 4 B key per sub-array, padded to
+// whole cache lines) at byte 64 and the two arrays after it.
 const (
 	headerSize = 64
 
@@ -56,6 +77,12 @@ type Config struct {
 	Pool *buffer.Pool
 	// Model receives simulated cache traffic and computation. Required.
 	Model *memsim.Model
+	// MicroIndex selects the micro-indexing page layout instead of the
+	// plain one.
+	MicroIndex bool
+	// SubarrayBytes overrides the micro layout's Table 2 sub-array size
+	// (0 = the sizing package's selection for the page size).
+	SubarrayBytes int
 	// EnableJPA maintains leaf-parent sibling links and uses them to
 	// prefetch leaf pages during range scans.
 	EnableJPA bool
@@ -71,13 +98,22 @@ type Config struct {
 	Trace *obs.Tracer
 }
 
-// Tree is a disk-optimized B+-Tree.
+// Tree is a page-per-node B+-Tree in one of the two layouts.
 type Tree struct {
 	pool *buffer.Pool
 	mm   *memsim.Model
+	name string
 
+	// Page geometry, fixed in New (layout.go).
 	pageSize int
 	cap      int // entries per page
+	keyBase  int // byte offset of the key array
+	ptrBase  int // byte offset of the pointer array
+	// Micro layout only; subsMax == 0 is the plain layout.
+	microOff   int // byte offset of the micro index
+	keysPerSub int // keys per sub-array
+	subsMax    int // micro-index slots
+	subLines   int // cache lines per sub-array
 
 	// meta packs (root page, height) so concurrent descents always see
 	// a consistent pair; a stale pair is still a valid entry point
@@ -110,25 +146,24 @@ func New(cfg Config) (*Tree, error) {
 	if cfg.Pool == nil || cfg.Model == nil {
 		return nil, fmt.Errorf("bptree: Pool and Model are required")
 	}
-	ps := cfg.Pool.PageSize()
-	if ps < 2*headerSize {
-		return nil, fmt.Errorf("bptree: page size %d too small", ps)
-	}
 	w := cfg.PrefetchWindow
 	if w <= 0 {
 		w = 16
 	}
-	return &Tree{
+	t := &Tree{
 		pool:     cfg.Pool,
 		mm:       cfg.Model,
-		pageSize: ps,
-		cap:      (ps - headerSize) / (idx.KeySize + idx.PageIDSize),
+		pageSize: cfg.Pool.PageSize(),
 		conc:     cfg.Pool.Latches() != nil,
 		opt:      cfg.OptimisticReads && cfg.Pool.OptSupported(),
 		jpa:      cfg.EnableJPA,
 		pfWindow: w,
 		tr:       cfg.Trace,
-	}, nil
+	}
+	if err := t.setLayout(cfg.MicroIndex, cfg.SubarrayBytes); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // rootHeight loads the tree's (root page, height) pair atomically.
@@ -156,7 +191,7 @@ func (t *Tree) newPageWrite() (buffer.Page, error) {
 }
 
 // Name implements idx.Index.
-func (t *Tree) Name() string { return "disk-optimized B+tree" }
+func (t *Tree) Name() string { return t.name }
 
 // Stats implements idx.Index.
 func (t *Tree) Stats() idx.OpStats { return t.ops.Snapshot() }
@@ -191,8 +226,8 @@ func setNext(d []byte, v uint32)   { le.PutUint32(d[offNext:], v) }
 func setPrev(d []byte, v uint32)   { le.PutUint32(d[offPrev:], v) }
 func setJPNext(d []byte, v uint32) { le.PutUint32(d[offJPNext:], v) }
 
-func (t *Tree) keyOff(i int) int { return headerSize + idx.KeySize*i }
-func (t *Tree) ptrOff(i int) int { return headerSize + idx.KeySize*t.cap + idx.PageIDSize*i }
+func (t *Tree) keyOff(i int) int { return t.keyBase + idx.KeySize*i }
+func (t *Tree) ptrOff(i int) int { return t.ptrBase + idx.PageIDSize*i }
 
 func (t *Tree) key(d []byte, i int) idx.Key       { return le.Uint32(d[t.keyOff(i):]) }
 func (t *Tree) ptr(d []byte, i int) uint32        { return le.Uint32(d[t.ptrOff(i):]) }
@@ -211,12 +246,13 @@ func (t *Tree) touchHeader(pg buffer.Page) {
 	}
 }
 
-// probeKey reads key i charging one probe.
-func (t *Tree) probeKey(pg buffer.Page, i int) idx.Key {
-	t.mm.Access(pg.Addr+uint64(t.keyOff(i)), idx.KeySize)
+// probe reads the key at byte offset off (a key-array or micro-index
+// slot) charging one search probe.
+func (t *Tree) probe(pg buffer.Page, off int) idx.Key {
+	t.mm.Access(pg.Addr+uint64(off), idx.KeySize)
 	t.mm.Busy(memsim.CostCompare)
 	t.mm.Other(memsim.CostComparePenalty)
-	return t.key(pg.Data, i)
+	return le.Uint32(pg.Data[off:])
 }
 
 // readPtr reads pointer i charging the access.
@@ -225,47 +261,13 @@ func (t *Tree) readPtr(pg buffer.Page, i int) uint32 {
 	return t.ptr(pg.Data, i)
 }
 
-// searchPage binary searches for the largest slot whose key is <= k;
-// returns -1 if all keys are greater. exact reports whether the slot
-// key equals k.
-func (t *Tree) searchPage(pg buffer.Page, k idx.Key) (slot int, exact bool) {
-	lo, hi := 0, pCount(pg.Data) // invariant: key[lo-1] <= k < key[hi]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		mk := t.probeKey(pg, mid)
-		if mk <= k {
-			lo = mid + 1
-			if mk == k {
-				exact = true
-			}
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1, exact
-}
-
-// searchPageLT binary searches for the largest slot whose key is
-// strictly less than k (-1 if none). Range scans descend with this so
-// that duplicates equal to a separator are not skipped.
-func (t *Tree) searchPageLT(pg buffer.Page, k idx.Key) int {
-	lo, hi := 0, pCount(pg.Data)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.probeKey(pg, mid) < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
-}
-
 // insertAt shifts entries [pos, count) right one slot and writes the new
 // entry, charging the array data movement the paper identifies as the
-// dominant insertion cost (§4.2.2). Inserting into a full page reports
-// a structural error (a damaged count field can make this data-
-// dependent, so it is not left as a panic).
+// dominant insertion cost (§4.2.2), then rebuilds the affected
+// micro-index suffix — the update cost micro-indexing cannot avoid.
+// Inserting into a full page reports a structural error (a damaged
+// count field can make this data-dependent, so it is not left as a
+// panic).
 func (t *Tree) insertAt(pg buffer.Page, pos int, k idx.Key, p uint32) error {
 	d := pg.Data
 	n := pCount(d)
@@ -283,6 +285,7 @@ func (t *Tree) insertAt(pg buffer.Page, pos int, k idx.Key, p uint32) error {
 	setCount(d, n+1)
 	t.mm.Access(pg.Addr+uint64(t.keyOff(pos)), idx.KeySize)
 	t.mm.Access(pg.Addr+uint64(t.ptrOff(pos)), idx.PageIDSize)
+	t.rebuildMicro(pg, pos)
 	return nil
 }
 
@@ -298,4 +301,5 @@ func (t *Tree) removeAt(pg buffer.Page, pos int) {
 		t.mm.Copy(pg.Addr+uint64(t.ptrOff(pos)), moved*idx.PageIDSize)
 	}
 	setCount(d, n-1)
+	t.rebuildMicro(pg, pos)
 }

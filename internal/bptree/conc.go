@@ -99,13 +99,12 @@ func (t *Tree) insertAttempt(root uint32, height int, k idx.Key, tid idx.TupleID
 	// the child cannot split.
 	for lvl := height - 1; lvl > 0; lvl-- {
 		t.touchHeader(pg)
-		slot, _ := t.searchPage(pg, k)
+		slot, _ := t.searchPage(pg, k, false)
 		if slot < 0 {
 			// k is below every separator: descend leftmost, lowering
 			// its separator so separators remain true lower bounds.
 			slot = 0
-			t.setKey(pg.Data, 0, k)
-			t.mm.Access(pg.Addr+uint64(t.keyOff(0)), idx.KeySize)
+			t.lowerMinKey(pg, k)
 			dirty = true
 		}
 		child := t.readPtr(pg, slot)
@@ -124,7 +123,7 @@ func (t *Tree) insertAttempt(root uint32, height int, k idx.Key, tid idx.TupleID
 
 	// Leaf insert.
 	t.touchHeader(pg)
-	slot, _ := t.searchPage(pg, k)
+	slot, _ := t.searchPage(pg, k, false)
 	if pCount(pg.Data) < t.cap {
 		if err := t.insertAt(pg, slot+1, k, tid); err != nil {
 			dirty = true
@@ -151,7 +150,7 @@ func (t *Tree) insertAttempt(root uint32, height int, k idx.Key, tid idx.TupleID
 				dirty = true
 				return fail(err2)
 			}
-			s, _ := t.searchPage(np, insKey)
+			s, _ := t.searchPage(np, insKey, false)
 			err2 = t.insertAt(np, s+1, insKey, insPtr)
 			t.pool.Unpin(np, true)
 			if err2 != nil {
@@ -159,7 +158,7 @@ func (t *Tree) insertAttempt(root uint32, height int, k idx.Key, tid idx.TupleID
 				return fail(err2)
 			}
 		} else {
-			s, _ := t.searchPage(pg, insKey)
+			s, _ := t.searchPage(pg, insKey, false)
 			if err := t.insertAt(pg, s+1, insKey, insPtr); err != nil {
 				dirty = true
 				return fail(err)
@@ -184,6 +183,7 @@ func (t *Tree) insertAttempt(root uint32, height int, k idx.Key, tid idx.TupleID
 			t.setPtr(d, 0, pg.ID)
 			t.setKey(d, 1, sep)
 			t.setPtr(d, 1, newPID)
+			t.fillMicro(d, 0)
 			t.pool.Unpin(rootPg, true)
 			t.meta.Store(rootPg.ID, 0, height+1)
 			t.pool.Unpin(pg, true)
@@ -200,7 +200,7 @@ func (t *Tree) insertAttempt(root uint32, height int, k idx.Key, tid idx.TupleID
 		pg, dirty = top.pg, top.dirty
 		insKey, insPtr = sep, newPID
 		t.touchHeader(pg)
-		s, _ := t.searchPage(pg, insKey)
+		s, _ := t.searchPage(pg, insKey, false)
 		if pCount(pg.Data) < t.cap {
 			if err := t.insertAt(pg, s+1, insKey, insPtr); err != nil {
 				dirty = true

@@ -8,9 +8,10 @@ import (
 // Bulkload implements idx.Index. Pages are packed left to right to the
 // fill factor (the last page of a level takes the remainder); sibling
 // links and — when JPA is enabled — jump-pointer chains are threaded at
-// every level, matching the DB2 implementation of §4.3.3. Bulkload does
-// not charge the memory model: the paper clears all caches after
-// loading and before measuring.
+// every level, matching the DB2 implementation of §4.3.3; the micro
+// layout's micro index is filled page by page. Bulkload does not charge
+// the memory model: the paper clears all caches after loading and
+// before measuring.
 func (t *Tree) Bulkload(entries []idx.Entry, fill float64) error {
 	if err := idx.CheckFill(fill); err != nil {
 		return err
@@ -61,6 +62,7 @@ func (t *Tree) Bulkload(entries []idx.Entry, fill float64) error {
 			t.setKey(d, n, e.Key)
 			t.setPtr(d, n, e.TID)
 		}
+		t.fillMicro(d, 0)
 		if prev.Valid() {
 			setNext(prev.Data, pg.ID)
 			setPrev(d, prev.ID)
@@ -98,6 +100,7 @@ func (t *Tree) Bulkload(entries []idx.Entry, fill float64) error {
 				t.setKey(d, n, r.min)
 				t.setPtr(d, n, r.pid)
 			}
+			t.fillMicro(d, 0)
 			if prev.Valid() {
 				setNext(prev.Data, pg.ID)
 				setPrev(d, prev.ID)
@@ -178,7 +181,7 @@ func (t *Tree) findFirst(k idx.Key, excl bool) (buffer.Page, int, bool, error) {
 	if root == 0 {
 		return buffer.Page{}, 0, false, nil
 	}
-	pid, err := t.leafFor(root, height, k)
+	pid, err := t.leafFor(root, height, k, true)
 	if err != nil {
 		return buffer.Page{}, 0, false, err
 	}
@@ -194,7 +197,8 @@ func (t *Tree) findFirst(k idx.Key, excl bool) (buffer.Page, int, bool, error) {
 			return buffer.Page{}, 0, false, err
 		}
 		t.touchHeader(pg)
-		slot := t.searchPageLT(pg, k) + 1
+		slot, _ := t.searchPage(pg, k, true)
+		slot++
 		n := pCount(pg.Data)
 		if slot < n {
 			t.mm.Access(pg.Addr+uint64(t.keyOff(slot)), idx.KeySize)
@@ -259,6 +263,7 @@ func (t *Tree) Insert(k idx.Key, tid idx.TupleID) error {
 	t.setPtr(d, 0, root)
 	t.setKey(d, 1, sepKey)
 	t.setPtr(d, 1, newPID)
+	t.fillMicro(d, 0)
 	t.pool.Unpin(rootPg, true)
 	t.meta.Store(rootPg.ID, 0, height+1)
 	return nil
@@ -274,7 +279,7 @@ func (t *Tree) insertInto(pid uint32, lvl int, k idx.Key, p uint32) (bool, idx.K
 		return false, 0, 0, err
 	}
 	t.touchHeader(pg)
-	slot, _ := t.searchPage(pg, k)
+	slot, _ := t.searchPage(pg, k, false)
 
 	if lvl > 0 {
 		cslot := slot
@@ -283,8 +288,7 @@ func (t *Tree) insertInto(pid uint32, lvl int, k idx.Key, p uint32) (bool, idx.K
 			// k is below every separator: descend leftmost, lowering
 			// its separator so separators remain true lower bounds.
 			cslot = 0
-			t.setKey(pg.Data, 0, k)
-			t.mm.Access(pg.Addr+uint64(t.keyOff(0)), idx.KeySize)
+			t.lowerMinKey(pg, k)
 			dirty = true
 		}
 		child := t.readPtr(pg, cslot)
@@ -299,7 +303,7 @@ func (t *Tree) insertInto(pid uint32, lvl int, k idx.Key, p uint32) (bool, idx.K
 		if err != nil {
 			return false, 0, 0, err
 		}
-		slot, _ = t.searchPage(pg, k)
+		slot, _ = t.searchPage(pg, k, false)
 	}
 
 	if pCount(pg.Data) < t.cap {
@@ -319,7 +323,7 @@ func (t *Tree) insertInto(pid uint32, lvl int, k idx.Key, p uint32) (bool, idx.K
 			t.pool.Unpin(pg, true)
 			return false, 0, 0, err2
 		}
-		s, _ := t.searchPage(np, k)
+		s, _ := t.searchPage(np, k, false)
 		err2 = t.insertAt(np, s+1, k, p)
 		t.pool.Unpin(np, true)
 		if err2 != nil {
@@ -327,7 +331,7 @@ func (t *Tree) insertInto(pid uint32, lvl int, k idx.Key, p uint32) (bool, idx.K
 			return false, 0, 0, err2
 		}
 	} else {
-		s, _ := t.searchPage(pg, k)
+		s, _ := t.searchPage(pg, k, false)
 		if err := t.insertAt(pg, s+1, k, p); err != nil {
 			t.pool.Unpin(pg, true)
 			return false, 0, 0, err
@@ -363,6 +367,8 @@ func (t *Tree) splitPage(pg buffer.Page) (idx.Key, uint32, error) {
 	t.mm.CopyBetween(np.Addr+uint64(t.ptrOff(0)), pg.Addr+uint64(t.ptrOff(mid)), moved*idx.PageIDSize)
 	setCount(nd, moved)
 	setCount(d, mid)
+	t.rebuildMicro(pg, 0)
+	t.rebuildMicro(np, 0)
 
 	// Sibling links.
 	right := pNext(d)

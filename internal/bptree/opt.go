@@ -1,21 +1,16 @@
 package bptree
 
-// Optimistic (latch-free) point-lookup descent for the disk-optimized
-// baseline, mirroring the disk-first variant's protocol (DESIGN.md
-// §11.6): resolve each page with buffer.ReadOpt, binary-search its
-// bytes with plain loads, and validate the page's latch version before
-// trusting any pointer derived from them. Restarts are bounded; the
-// latched findFirst path remains the fallback.
+// Optimistic (latch-free) point-lookup descent, mirroring the
+// disk-first variant's protocol (DESIGN.md §11.6): resolve each page
+// with buffer.ReadOpt, search its bytes with plain loads (searchPage,
+// whichever the layout), and validate the page's latch version before
+// trusting any pointer derived from them. Restarts are bounded
+// (buffer.SearchOpt); the latched findFirst path remains the fallback.
 
 import (
 	"repro/internal/buffer"
 	"repro/internal/idx"
-	"repro/internal/latch"
 )
-
-// optMaxRestarts bounds optimistic-descent restarts before falling
-// back to the latched path (same budget as the other variants).
-const optMaxRestarts = 8
 
 // searchOpt runs the optimistic point lookup. handled=false means the
 // optimistic path is unavailable, met a non-resident page or exhausted
@@ -24,29 +19,13 @@ func (t *Tree) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool) {
 	if !t.opt || !t.mm.Concurrent() {
 		return 0, false, false
 	}
-	lt := t.pool.Latches()
-	var b latch.Backoff
-	for attempt := 0; ; attempt++ {
-		tid, found, st := t.searchOptAttempt(k)
-		if st == buffer.OptDone {
-			return tid, found, true
-		}
-		// A non-resident page fails every restart until someone reads it
-		// in: leave the budget unspent and let the latched path pay.
-		if st == buffer.OptAbsent || attempt == optMaxRestarts {
-			break
-		}
-		lt.OptRestart()
-		b.Pause()
-	}
-	lt.OptFallback()
-	return 0, false, false
+	return t.pool.SearchOpt(k, t.searchOptAttempt)
 }
 
 // searchOptAttempt is one latch-free descent attempt; results are only
 // meaningful when st is buffer.OptDone.
 func (t *Tree) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st buffer.OptStatus) {
-	// A torn count can send the binary search past the page before
+	// A torn count can send the in-page search past the page before
 	// validation rejects it; turn the bounds panic into a restart.
 	defer func() {
 		if recover() != nil {
@@ -63,7 +42,7 @@ func (t *Tree) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st buff
 		if !okr {
 			return 0, false, pg.Miss()
 		}
-		slot := t.searchPageLT(buffer.Page{Data: pg.Data}, k)
+		slot, _ := t.searchPage(buffer.Page{Data: pg.Data}, k, true)
 		if slot < 0 {
 			slot = 0
 		}
@@ -81,7 +60,8 @@ func (t *Tree) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st buff
 			return 0, false, pg.Miss()
 		}
 		d := pg.Data
-		slot := t.searchPageLT(buffer.Page{Data: d}, k) + 1
+		slot, _ := t.searchPage(buffer.Page{Data: d}, k, true)
+		slot++
 		if slot < pCount(d) {
 			key := t.key(d, slot)
 			tid := t.ptr(d, slot)

@@ -17,13 +17,13 @@ func (t *Tree) RangeScanReverse(startKey, endKey idx.Key, fn func(idx.Key, idx.T
 	if root == 0 || startKey > endKey {
 		return 0, nil
 	}
-	endLeaf, err := t.leafForLE(root, height, endKey)
+	endLeaf, err := t.leafFor(root, height, endKey, false)
 	if err != nil {
 		return 0, err
 	}
 	var pids []uint32 // leaf pages in reverse scan order
 	if t.jpa {
-		startLeaf, err := t.leafFor(root, height, startKey)
+		startLeaf, err := t.leafFor(root, height, startKey, true)
 		if err != nil {
 			return 0, err
 		}
@@ -58,8 +58,7 @@ func (t *Tree) RangeScanReverse(startKey, endKey idx.Key, fn func(idx.Key, idx.T
 		i := pCount(pg.Data) - 1
 		if first {
 			// Position on the last entry <= endKey.
-			slot, _ := t.searchPage(pg, endKey)
-			i = slot
+			i, _ = t.searchPage(pg, endKey, false)
 			first = false
 		}
 		for ; i >= 0; i-- {
@@ -87,24 +86,4 @@ func (t *Tree) RangeScanReverse(startKey, endKey idx.Key, fn func(idx.Key, idx.T
 		pageIdx++
 	}
 	return count, nil
-}
-
-// leafForLE descends to the rightmost leaf that can contain a key <= k.
-func (t *Tree) leafForLE(root uint32, height int, k idx.Key) (uint32, error) {
-	pid := root
-	for lvl := height - 1; lvl > 0; lvl-- {
-		pg, err := t.pool.Get(pid)
-		if err != nil {
-			return 0, err
-		}
-		t.touchHeader(pg)
-		slot, _ := t.searchPage(pg, k)
-		if slot < 0 {
-			slot = 0
-		}
-		child := t.readPtr(pg, slot)
-		t.pool.Unpin(pg, false)
-		pid = child
-	}
-	return pid, nil
 }

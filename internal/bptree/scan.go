@@ -18,14 +18,14 @@ func (t *Tree) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.TupleID)
 	if root == 0 || startKey > endKey {
 		return 0, nil
 	}
-	startLeaf, err := t.leafFor(root, height, startKey)
+	startLeaf, err := t.leafFor(root, height, startKey, true)
 	if err != nil {
 		return 0, err
 	}
 
 	var pids []uint32 // leaf pages to prefetch, in scan order
 	if t.jpa {
-		endLeaf, err := t.leafFor(root, height, endKey)
+		endLeaf, err := t.leafFor(root, height, endKey, true)
 		if err != nil {
 			return 0, err
 		}
@@ -58,7 +58,8 @@ func (t *Tree) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.TupleID)
 		i := 0
 		if first {
 			// Position on the first entry >= startKey.
-			i = t.searchPageLT(pg, startKey) + 1
+			s, _ := t.searchPage(pg, startKey, true)
+			i = s + 1
 			first = false
 		}
 		for ; i < n; i++ {
@@ -89,40 +90,17 @@ func (t *Tree) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.TupleID)
 }
 
 // leafFor descends from the given (root, height) snapshot to the leaf
-// page that would contain k (charging normal search traffic). In
-// concurrent mode it holds the parent's shared latch until the child is
-// latched (latch coupling); sequentially it releases the parent first,
-// exactly as before.
-func (t *Tree) leafFor(root uint32, height int, k idx.Key) (uint32, error) {
-	if t.conc {
-		return t.leafForCoupled(root, height, k)
-	}
-	pid := root
-	for lvl := height - 1; lvl > 0; lvl-- {
-		pg, err := t.pool.Get(pid)
-		if err != nil {
-			return 0, err
-		}
-		t.touchHeader(pg)
-		// Descend with a strictly-less comparison so a scan never
-		// starts past duplicates equal to a separator.
-		slot := t.searchPageLT(pg, k)
-		if slot < 0 {
-			slot = 0
-		}
-		child := t.readPtr(pg, slot)
-		t.pool.Unpin(pg, false)
-		pid = child
-	}
-	return pid, nil
-}
-
-// leafForCoupled is leafFor under the latch protocol: each child is
-// pinned (shared-latched) before the parent's latch is released, so the
-// child pointer just read cannot be restructured out from under the
-// descent. Acquisitions run strictly top-down, consistent with writer
-// crabbing, so blocking here cannot deadlock.
-func (t *Tree) leafForCoupled(root uint32, height int, k idx.Key) (uint32, error) {
+// page that would contain k (charging normal search traffic). Forward
+// scans and lookups descend with strictly-less comparisons (lt) so they
+// never start past duplicates equal to a separator; reverse scans
+// descend with lt=false to the rightmost leaf that can hold a key <= k.
+// On a latched pool each child is pinned (shared-latched) before the
+// parent's latch is released, so the child pointer just read cannot be
+// restructured out from under the descent; acquisitions run strictly
+// top-down, consistent with writer crabbing, so blocking here cannot
+// deadlock. Sequentially the parent is released before the child is
+// pinned: the simulated I/O counts depend on that pool call order.
+func (t *Tree) leafFor(root uint32, height int, k idx.Key, lt bool) (uint32, error) {
 	pid := root
 	var parent buffer.Page
 	for lvl := height - 1; lvl > 0; lvl-- {
@@ -135,12 +113,16 @@ func (t *Tree) leafForCoupled(root uint32, height int, k idx.Key) (uint32, error
 			return 0, err
 		}
 		t.touchHeader(pg)
-		slot := t.searchPageLT(pg, k)
+		slot, _ := t.searchPage(pg, k, lt)
 		if slot < 0 {
 			slot = 0
 		}
 		pid = t.readPtr(pg, slot)
-		parent = pg
+		if t.conc {
+			parent = pg
+		} else {
+			t.pool.Unpin(pg, false)
+		}
 	}
 	if parent.Valid() {
 		t.pool.Unpin(parent, false)
@@ -161,7 +143,7 @@ func (t *Tree) leafPagesBetween(root uint32, height int, startKey idx.Key, start
 		if err != nil {
 			return nil, err
 		}
-		slot := t.searchPageLT(pg, startKey)
+		slot, _ := t.searchPage(pg, startKey, true)
 		if slot < 0 {
 			slot = 0
 		}
@@ -358,6 +340,10 @@ func (t *Tree) checkSubtree(pid uint32, lvl int, lo, hi *idx.Key, leaves *[]uint
 			t.pool.Unpin(pg, false)
 			return fmt.Errorf("bptree: page %d key %d above bound %d", pid, k, *hi)
 		}
+	}
+	if err := t.checkMicro(pid, d); err != nil {
+		t.pool.Unpin(pg, false)
+		return err
 	}
 	if lvl == 0 {
 		*leaves = append(*leaves, pid)

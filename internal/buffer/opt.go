@@ -75,6 +75,36 @@ func (pg OptPage) Miss() OptStatus {
 	return OptRetry
 }
 
+// optMaxRestarts bounds how many times an optimistic descent restarts
+// before falling back to the latched path (one budget for every tree).
+const optMaxRestarts = 8
+
+// SearchOpt is the restart loop around a tree's latch-free point
+// lookup: it runs attempt (one descent for key k, whose results count
+// only when it reports OptDone) until it completes. An OptRetry
+// attempt is counted, backed off and rerun, up to optMaxRestarts times;
+// an OptAbsent one fails every restart until someone reads the page
+// in, so it leaves the budget unspent. handled=false (counted as one
+// fallback) tells the caller to run its latched descent, which pays
+// the read or waits the writers out — a writer storm cannot livelock
+// a reader.
+func (p *Pool) SearchOpt(k uint32, attempt func(k uint32) (tid uint32, found bool, st OptStatus)) (tid uint32, found, handled bool) {
+	var b latch.Backoff
+	for n := 0; ; n++ {
+		tid, found, st := attempt(k)
+		if st == OptDone {
+			return tid, found, true
+		}
+		if st == OptAbsent || n == optMaxRestarts {
+			break
+		}
+		p.latches.OptRestart()
+		b.Pause()
+	}
+	p.latches.OptFallback()
+	return 0, false, false
+}
+
 // OptSupported reports whether this pool can serve optimistic reads:
 // it must be a latched (concurrent) pool and the build must not have
 // the race detector enabled.

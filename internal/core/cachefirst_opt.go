@@ -15,7 +15,6 @@ package core
 import (
 	"repro/internal/buffer"
 	"repro/internal/idx"
-	"repro/internal/latch"
 )
 
 // searchOpt runs the optimistic point lookup. handled=false means the
@@ -25,23 +24,7 @@ func (t *CacheFirst) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool)
 	if !t.opt || !t.mm.Concurrent() {
 		return 0, false, false
 	}
-	lt := t.pool.Latches()
-	var b latch.Backoff
-	for attempt := 0; ; attempt++ {
-		tid, found, st := t.searchOptAttempt(k)
-		if st == buffer.OptDone {
-			return tid, found, true
-		}
-		// A non-resident page fails every restart until someone reads it
-		// in: leave the budget unspent and let the latched path pay.
-		if st == buffer.OptAbsent || attempt == optMaxRestarts {
-			break
-		}
-		lt.OptRestart()
-		b.Pause()
-	}
-	lt.OptFallback()
-	return 0, false, false
+	return t.pool.SearchOpt(k, t.searchOptAttempt)
 }
 
 // searchOptAttempt is one latch-free descent attempt; results are only

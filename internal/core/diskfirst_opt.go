@@ -10,7 +10,8 @@ package core
 // page-level next pointer, the tuple ID — is re-validated with
 // buffer.ValidateOpt before it is trusted or followed. Any validation
 // failure or write-locked observation restarts the whole descent from
-// the (atomic) root triple; after optMaxRestarts restarts the reader
+// the (atomic) root triple; after a bounded number of restarts
+// (buffer.SearchOpt, the one loop every variant shares) the reader
 // falls back to the shared-latch path so writer storms cannot livelock
 // it. A non-resident page falls back at once: no restart can succeed
 // before the latched path has paid the read.
@@ -18,12 +19,7 @@ package core
 import (
 	"repro/internal/buffer"
 	"repro/internal/idx"
-	"repro/internal/latch"
 )
-
-// optMaxRestarts bounds how many times an optimistic descent restarts
-// before falling back to the latched path (shared by all variants).
-const optMaxRestarts = 8
 
 // searchOpt runs the optimistic point lookup. handled=false means the
 // optimistic path is unavailable or gave up (non-resident page, or
@@ -32,23 +28,7 @@ func (t *DiskFirst) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool) 
 	if !t.opt || !t.mm.Concurrent() {
 		return 0, false, false
 	}
-	lt := t.pool.Latches()
-	var b latch.Backoff
-	for attempt := 0; ; attempt++ {
-		tid, found, st := t.searchOptAttempt(k)
-		if st == buffer.OptDone {
-			return tid, found, true
-		}
-		// A non-resident page fails every restart until someone reads it
-		// in: leave the budget unspent and let the latched path pay.
-		if st == buffer.OptAbsent || attempt == optMaxRestarts {
-			break
-		}
-		lt.OptRestart()
-		b.Pause()
-	}
-	lt.OptFallback()
-	return 0, false, false
+	return t.pool.SearchOpt(k, t.searchOptAttempt)
 }
 
 // searchOptAttempt is one latch-free descent attempt. OptRetry means

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/bptree"
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/db2sim"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/idx"
 	"repro/internal/memsim"
-	"repro/internal/microindex"
 	"repro/internal/sizing"
 	"repro/internal/workload"
 )
@@ -44,8 +44,8 @@ func buildCacheFirstWidth(env *Env, nodeB int) (*core.CacheFirst, error) {
 // buildMicroIndexWidth constructs a micro-indexing tree with an
 // explicit sub-array size (Figure 11's third panel).
 func buildMicroIndexWidth(env *Env, subarrayBytes int) (idx.Index, error) {
-	return microindex.New(microindex.Config{
-		Pool: env.Pool, Model: env.Model, SubarrayBytes: subarrayBytes,
+	return bptree.New(bptree.Config{
+		Pool: env.Pool, Model: env.Model, MicroIndex: true, SubarrayBytes: subarrayBytes,
 	})
 }
 

@@ -22,7 +22,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/idx"
 	"repro/internal/memsim"
-	"repro/internal/microindex"
 	"repro/internal/obs"
 	"repro/internal/pbtree"
 )
@@ -308,7 +307,7 @@ func BuildTree(kind TreeKind, env *Env, jpa bool) (idx.Index, error) {
 	case KindDiskOptimized:
 		ix, err = bptree.New(bptree.Config{Pool: env.Pool, Model: env.Model, EnableJPA: jpa, Trace: tr})
 	case KindMicroIndex:
-		ix, err = microindex.New(microindex.Config{Pool: env.Pool, Model: env.Model, Trace: tr})
+		ix, err = bptree.New(bptree.Config{Pool: env.Pool, Model: env.Model, MicroIndex: true, Trace: tr})
 	case KindDiskFirst:
 		ix, err = core.NewDiskFirst(core.DiskFirstConfig{Pool: env.Pool, Model: env.Model, EnableJPA: jpa, Trace: tr})
 	case KindCacheFirst:

@@ -14,7 +14,6 @@ import (
 	"repro/internal/bptree"
 	"repro/internal/core"
 	"repro/internal/idx"
-	"repro/internal/microindex"
 	"repro/internal/pbtree"
 	"repro/internal/treetest"
 )
@@ -33,7 +32,7 @@ func buildAll(t testing.TB, pageSize int) []idx.Index {
 	}
 	{
 		env := treetest.NewEnv(pageSize, 1<<16)
-		tr, err := microindex.New(microindex.Config{Pool: env.Pool, Model: env.Model})
+		tr, err := bptree.New(bptree.Config{Pool: env.Pool, Model: env.Model, MicroIndex: true})
 		if err != nil {
 			t.Fatal(err)
 		}
