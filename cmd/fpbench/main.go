@@ -113,7 +113,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /snapshot, /delta, /trace and /debug/pprof on this address during the serving benchmark (with -threads)")
 	slowOp := flag.Duration("slow-op", time.Millisecond, "slow-op span threshold for the serving benchmark's trace ring (with -debug-addr)")
 	storeMode := flag.String("store", "sim", "serving-benchmark page store: sim (memory) or file (durable OS-file store + WAL, with -threads)")
-	readsMode := flag.String("reads", "optimistic", "serving-benchmark point-lookup protocol: optimistic, pessimistic, or both (with -threads)")
 	walBench := flag.Bool("walbench", false, "run the WAL group-commit sweep (commits/sec and fsyncs/commit vs batch size) instead of the experiments")
 	inPage := flag.Bool("inpage", false, "run the in-page search microbenchmark (node widths x implementations) instead of the experiments")
 	flag.Parse()
@@ -206,7 +205,7 @@ func main() {
 		if *storeMode != "sim" && *storeMode != "file" {
 			fatal(fmt.Errorf("unknown -store %q (want sim or file)", *storeMode))
 		}
-		entries, err := throughputSweep(*workloadName, *readsMode, *threads, *benchKeys, *duration, *storeMode == "file", dbg)
+		entries, err := throughputSweep(*workloadName, *threads, *benchKeys, *duration, *storeMode == "file", dbg)
 		if err != nil {
 			fatal(err)
 		}

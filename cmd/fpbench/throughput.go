@@ -44,7 +44,6 @@ func (d *servingDebug) tracer() *obs.Tracer {
 // -benchjson report.
 type throughputEntry struct {
 	Workload  string  `json:"workload"`
-	Reads     string  `json:"reads"` // "optimistic" or "pessimistic"
 	Threads   int     `json:"threads"`
 	Seconds   float64 `json:"seconds"`
 	Ops       uint64  `json:"ops"`
@@ -52,9 +51,9 @@ type throughputEntry struct {
 	P50Nanos  uint64  `json:"p50_nanos"`
 	P99Nanos  uint64  `json:"p99_nanos"`
 	// Latch-protocol counters from the cell's metrics snapshot, so a
-	// report shows whether the optimistic path actually ran latch-free
-	// (readonly + optimistic ⇒ shared acquisitions and locked gets stay
-	// at their bulkload/warmup baseline) and how contended it was.
+	// report shows whether the optimistic read path actually ran
+	// latch-free (readonly ⇒ shared acquisitions and locked gets stay at
+	// their bulkload/warmup baseline) and how contended it was.
 	OptRestarts    uint64 `json:"opt_restarts"`
 	OptFallbacks   uint64 `json:"opt_fallbacks"`
 	SharedLatches  uint64 `json:"shared_latch_acquisitions"`
@@ -64,59 +63,41 @@ type throughputEntry struct {
 // throughputSweep runs the wall-clock serving benchmark: a read-only
 // thread sweep (1, 2, ... up to threads, powers of two) plus the mixed
 // and scan workloads at full width. wl narrows the run to one workload
-// ("all" runs the standard sweep). reads selects the point-lookup
-// protocol — "optimistic" (the serving-mode default), "pessimistic"
-// (shared latch coupling), or "both", which duplicates every cell so
-// the two protocols can be compared on one report.
-func throughputSweep(wl, reads string, threads, keys int, dur time.Duration, fileStore bool, dbg *servingDebug) ([]throughputEntry, error) {
+// ("all" runs the standard sweep).
+func throughputSweep(wl string, threads, keys int, dur time.Duration, fileStore bool, dbg *servingDebug) ([]throughputEntry, error) {
 	type cell struct {
-		workload    string
-		threads     int
-		pessimistic bool
-	}
-	var modes []bool
-	switch reads {
-	case "optimistic":
-		modes = []bool{false}
-	case "pessimistic":
-		modes = []bool{true}
-	case "both":
-		modes = []bool{false, true}
-	default:
-		return nil, fmt.Errorf("unknown reads mode %q (want optimistic, pessimistic, or both)", reads)
+		workload string
+		threads  int
 	}
 	var cells []cell
-	for _, pess := range modes {
-		addSweep := func(name string) {
-			first := len(cells)
-			for n := 1; n <= threads; n *= 2 {
-				cells = append(cells, cell{name, n, pess})
-			}
-			if cells[len(cells)-1].threads != threads && len(cells) > first {
-				cells = append(cells, cell{name, threads, pess}) // threads not a power of two
-			}
+	addSweep := func(name string) {
+		for n := 1; n <= threads; n *= 2 {
+			cells = append(cells, cell{name, n})
 		}
-		switch wl {
-		case "all":
-			addSweep("readonly")
-			cells = append(cells, cell{"mixed", threads, pess}, cell{"scan", threads, pess})
-		case "readonly":
-			addSweep("readonly")
-		case "mixed", "scan":
-			cells = append(cells, cell{wl, threads, pess})
-		default:
-			return nil, fmt.Errorf("unknown workload %q (want readonly, mixed, scan, or all)", wl)
+		if cells[len(cells)-1].threads != threads {
+			cells = append(cells, cell{name, threads}) // threads not a power of two
 		}
+	}
+	switch wl {
+	case "all":
+		addSweep("readonly")
+		cells = append(cells, cell{"mixed", threads}, cell{"scan", threads})
+	case "readonly":
+		addSweep("readonly")
+	case "mixed", "scan":
+		cells = append(cells, cell{wl, threads})
+	default:
+		return nil, fmt.Errorf("unknown workload %q (want readonly, mixed, scan, or all)", wl)
 	}
 
 	var out []throughputEntry
 	for _, c := range cells {
-		e, err := runThroughput(c.workload, c.threads, keys, dur, fileStore, c.pessimistic, dbg)
+		e, err := runThroughput(c.workload, c.threads, keys, dur, fileStore, dbg)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("# %-8s %-11s threads=%d  %.0f ops/sec  p50=%s p99=%s (%d ops in %.2fs, %d opt restarts)\n",
-			e.Workload, e.Reads, e.Threads, e.OpsPerSec,
+		fmt.Printf("# %-8s threads=%d  %.0f ops/sec  p50=%s p99=%s (%d ops in %.2fs, %d opt restarts)\n",
+			e.Workload, e.Threads, e.OpsPerSec,
 			time.Duration(e.P50Nanos), time.Duration(e.P99Nanos), e.Ops, e.Seconds, e.OptRestarts)
 		out = append(out, e)
 	}
@@ -127,13 +108,10 @@ func throughputSweep(wl, reads string, threads, keys int, dur time.Duration, fil
 // — memory-resident by default, or over the durable file store with
 // fileStore — `threads` goroutines issue operations for dur, recording
 // per-op wall latency into one shared histogram.
-func runThroughput(wl string, threads, keys int, dur time.Duration, fileStore, pessimistic bool, dbg *servingDebug) (throughputEntry, error) {
+func runThroughput(wl string, threads, keys int, dur time.Duration, fileStore bool, dbg *servingDebug) (throughputEntry, error) {
 	opts := []fpbtree.Option{
 		fpbtree.WithVariant(fpbtree.DiskFirst),
 		fpbtree.WithConcurrency(threads),
-	}
-	if pessimistic {
-		opts = append(opts, fpbtree.WithPessimisticReads())
 	}
 	if fileStore {
 		dir, err := os.MkdirTemp("", "fpbench-store-*")
@@ -236,14 +214,9 @@ func runThroughput(wl string, threads, keys int, dur time.Duration, fileStore, p
 	if n := tr.PinnedPages(); n != 0 {
 		return throughputEntry{}, fmt.Errorf("%s threads=%d: %d pinned pages leaked", wl, threads, n)
 	}
-	mode := "optimistic"
-	if pessimistic {
-		mode = "pessimistic"
-	}
 	snap := tr.MetricsSnapshot()
 	return throughputEntry{
 		Workload:       wl,
-		Reads:          mode,
 		Threads:        threads,
 		Seconds:        elapsed.Seconds(),
 		Ops:            totalOps.Load(),

@@ -198,17 +198,6 @@ type Options struct {
 	// 0xFFFFFFFF becomes reserved as the gap sentinel. Only DiskFirst
 	// and CacheFirst support it.
 	GappedLeaves bool
-	// PessimisticReads disables the optimistic (version-validated,
-	// latch-free) read path that the concurrent serving mode uses by
-	// default: point lookups then always descend with shared latch
-	// coupling. Optimistic reads sample each page's latch version, search
-	// it with plain loads (no shared-latch stores, no pin traffic), and
-	// re-validate the version before trusting anything derived from the
-	// bytes; a concurrent writer or eviction forces a bounded restart and
-	// eventually a fall back to the latched path (DESIGN.md §11.6).
-	// Irrelevant outside serving mode, and automatically off under the
-	// race detector (seqlock-style reads are intentional data races).
-	PessimisticReads bool
 }
 
 // Option mutates Options.
@@ -286,17 +275,6 @@ func WithStoreNoFsync() Option { return func(o *Options) { o.StoreNoFsync = true
 // Options.GappedLeaves for the trade-offs). DiskFirst and CacheFirst
 // only.
 func WithGappedLeaves() Option { return func(o *Options) { o.GappedLeaves = true } }
-
-// WithOptimisticReads re-enables the optimistic (version-validated,
-// latch-free) read path for point lookups in the concurrent serving
-// mode. It is the default there, so this option only undoes an earlier
-// WithPessimisticReads in the same option list.
-func WithOptimisticReads() Option { return func(o *Options) { o.PessimisticReads = false } }
-
-// WithPessimisticReads disables the optimistic read path: point
-// lookups in the concurrent serving mode always descend with shared
-// latch coupling. Baseline knob for comparing the two read protocols.
-func WithPessimisticReads() Option { return func(o *Options) { o.PessimisticReads = true } }
 
 // WithConcurrency enables the wall-clock serving mode sized for n
 // concurrent goroutines (n >= 1). Searches, scans, inserts, deletes,
@@ -488,27 +466,26 @@ func New(options ...Option) (*Tree, error) {
 	}
 
 	jpa := !o.DisableJPA
-	optReads := o.Concurrency >= 1 && !o.PessimisticReads
 	var index idx.Index
 	var err error
 	switch o.Variant {
 	case DiskFirst:
 		index, err = core.NewDiskFirst(core.DiskFirstConfig{
 			Pool: pool, Model: mm, EnableJPA: jpa, PrefetchWindow: o.PrefetchWindow,
-			Trace: substrateTracer, GappedLeaves: o.GappedLeaves, OptimisticReads: optReads,
+			Trace: substrateTracer, GappedLeaves: o.GappedLeaves,
 		})
 	case CacheFirst:
 		index, err = core.NewCacheFirst(core.CacheFirstConfig{
 			Pool: pool, Model: mm, EnableJPA: jpa, PrefetchWindow: o.PrefetchWindow,
-			Trace: substrateTracer, GappedLeaves: o.GappedLeaves, OptimisticReads: optReads,
+			Trace: substrateTracer, GappedLeaves: o.GappedLeaves,
 		})
 	case DiskOptimized:
 		index, err = bptree.New(bptree.Config{
 			Pool: pool, Model: mm, EnableJPA: jpa, PrefetchWindow: o.PrefetchWindow,
-			Trace: substrateTracer, OptimisticReads: optReads,
+			Trace: substrateTracer,
 		})
 	case MicroIndex:
-		index, err = bptree.New(bptree.Config{Pool: pool, Model: mm, MicroIndex: true, Trace: substrateTracer, OptimisticReads: optReads})
+		index, err = bptree.New(bptree.Config{Pool: pool, Model: mm, MicroIndex: true, Trace: substrateTracer})
 	default:
 		err = fmt.Errorf("fpbtree: unknown variant %d", o.Variant)
 	}

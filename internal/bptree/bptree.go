@@ -21,8 +21,12 @@
 // (§4.2.2).
 //
 // The layout shows only in the in-page kernels of layout.go; the
-// descent, crabbing, optimistic, batch, scan, scavenge and recovery
-// code exists once and never asks which layout it runs on.
+// optimistic descent, the scans and the page operations above them
+// exist once and never ask which layout they run on. The page-granular
+// protocol around them — descent to a leaf page, serial and crabbing
+// insert, batch descent, scavenge, durable meta — is internal/pagetree,
+// shared with the disk-first fpB+-Tree; this package supplies its
+// Layout.
 //
 // The tree optionally maintains the page-level internal jump-pointer
 // array of §2.2 (sibling links between leaf-parent pages) so that range
@@ -33,13 +37,12 @@ package bptree
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/buffer"
 	"repro/internal/idx"
 	"repro/internal/memsim"
 	"repro/internal/obs"
+	"repro/internal/pagetree"
 )
 
 // Page layout. The first line is the page header:
@@ -89,17 +92,16 @@ type Config struct {
 	// PrefetchWindow is how many leaf pages a JPA range scan keeps in
 	// flight; 0 means a default of 16.
 	PrefetchWindow int
-	// OptimisticReads lets point lookups descend latch-free, validating
-	// per-page latch versions instead of holding shared latches
-	// (DESIGN.md §11.6). Effective only on a latched pool in a build
-	// without the race detector; ignored otherwise.
-	OptimisticReads bool
 	// Trace, when non-nil, receives one event per page visit.
 	Trace *obs.Tracer
 }
 
 // Tree is a page-per-node B+-Tree in one of the two layouts.
 type Tree struct {
+	// The page-granular protocol: root and leftmost-leaf state, descent,
+	// insert, batch, scavenge, durable meta.
+	pagetree.Tree
+
 	pool *buffer.Pool
 	mm   *memsim.Model
 	name string
@@ -115,30 +117,16 @@ type Tree struct {
 	subsMax    int // micro-index slots
 	subLines   int // cache lines per sub-array
 
-	// meta packs (root page, height) so concurrent descents always see
-	// a consistent pair; a stale pair is still a valid entry point
-	// because the old root keeps routing its level (splits move keys
-	// right, and the leaf walks recover rightward).
-	meta      idx.TreeMeta
-	firstLeaf atomic.Uint32
-
-	// conc is set when the pool carries a latch table: writers then
-	// descend with exclusive latch crabbing (see insertConc) and page
-	// mutations take exclusive pins. In the default sequential mode
-	// every latch call is a no-op and the code paths are identical.
-	conc bool
 	// opt enables the optimistic (version-validated, latch-free) read
-	// descent; requires conc and a non-race build (pool.OptSupported).
-	opt    bool
-	growMu sync.Mutex // serializes first-root creation in conc mode
+	// descent (DESIGN.md §11.6): a latched pool in a build without the
+	// race detector.
+	opt bool
 
 	jpa      bool
 	pfWindow int
 
 	tr  *obs.Tracer
 	ops idx.AtomicOpStats
-
-	batch idx.BatchScratch
 }
 
 // New creates an empty tree over the pool.
@@ -154,8 +142,7 @@ func New(cfg Config) (*Tree, error) {
 		pool:     cfg.Pool,
 		mm:       cfg.Model,
 		pageSize: cfg.Pool.PageSize(),
-		conc:     cfg.Pool.Latches() != nil,
-		opt:      cfg.OptimisticReads && cfg.Pool.OptSupported(),
+		opt:      cfg.Pool.OptSupported(),
 		jpa:      cfg.EnableJPA,
 		pfWindow: w,
 		tr:       cfg.Trace,
@@ -163,31 +150,8 @@ func New(cfg Config) (*Tree, error) {
 	if err := t.setLayout(cfg.MicroIndex, cfg.SubarrayBytes); err != nil {
 		return nil, err
 	}
+	t.Init(cfg.Pool, t)
 	return t, nil
-}
-
-// rootHeight loads the tree's (root page, height) pair atomically.
-func (t *Tree) rootHeight() (uint32, int) {
-	pid, _, h := t.meta.Load()
-	return pid, h
-}
-
-// getWrite pins pid for mutation: exclusively latched in concurrent
-// mode, a plain pin in sequential mode (identical pool call order
-// either way, so simulated costs are unchanged).
-func (t *Tree) getWrite(pid uint32) (buffer.Page, error) {
-	if t.conc {
-		return t.pool.GetX(pid)
-	}
-	return t.pool.Get(pid)
-}
-
-// newPageWrite allocates a page pinned for mutation (see getWrite).
-func (t *Tree) newPageWrite() (buffer.Page, error) {
-	if t.conc {
-		return t.pool.NewPageX()
-	}
-	return t.pool.NewPage()
 }
 
 // Name implements idx.Index.
@@ -201,12 +165,6 @@ func (t *Tree) ResetStats() { t.ops.Reset() }
 
 // Cap reports the per-page entry capacity (the paper's page fan-out).
 func (t *Tree) Cap() int { return t.cap }
-
-// Height implements idx.Index.
-func (t *Tree) Height() int {
-	_, h := t.rootHeight()
-	return h
-}
 
 // Pool returns the tree's buffer pool.
 func (t *Tree) Pool() *buffer.Pool { return t.pool }
@@ -236,8 +194,8 @@ func (t *Tree) setPtr(d []byte, i int, v uint32)  { le.PutUint32(d[t.ptrOff(i):]
 
 // --- simulated-cache-charged access paths ---
 
-// header touch: the first line of the page.
-func (t *Tree) touchHeader(pg buffer.Page) {
+// TouchHeader implements pagetree.Layout: the first line of the page.
+func (t *Tree) TouchHeader(pg buffer.Page) {
 	t.mm.Access(pg.Addr, 16)
 	t.mm.Busy(memsim.CostNodeVisit)
 	t.ops.NodeVisits.Add(1)

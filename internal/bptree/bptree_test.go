@@ -221,7 +221,7 @@ func TestMicroIndexConsistencyAfterChurn(t *testing.T) {
 // corruptRoot flips one byte of the root page behind the tree's back.
 func corruptRoot(t *testing.T, tr *Tree, off int) {
 	t.Helper()
-	root, _ := tr.rootHeight()
+	root, _ := tr.RootHeight()
 	pg, err := tr.pool.Get(root)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ func (t *Tree) Bulkload(entries []idx.Entry, fill float64) error {
 	if err := idx.ValidateSorted(entries); err != nil {
 		return err
 	}
-	if err := t.freeAll(); err != nil {
+	if err := t.FreeAll(); err != nil {
 		return err
 	}
 	per := int(fill * float64(t.cap))
@@ -74,7 +74,7 @@ func (t *Tree) Bulkload(entries []idx.Entry, fill float64) error {
 	if prev.Valid() {
 		t.pool.Unpin(prev, true)
 	}
-	t.firstLeaf.Store(level[0].pid)
+	t.SetFirstLeaf(level[0].pid)
 	height := 1
 
 	// Internal levels.
@@ -116,40 +116,7 @@ func (t *Tree) Bulkload(entries []idx.Entry, fill float64) error {
 		level = up
 		height++
 	}
-	t.meta.Store(level[0].pid, 0, height)
-	return nil
-}
-
-// freeAll releases every page of the current tree back to the pool.
-func (t *Tree) freeAll() error {
-	root, height := t.rootHeight()
-	if root == 0 {
-		return nil
-	}
-	pid := root
-	for lvl := height - 1; lvl >= 0; lvl-- {
-		// Remember the leftmost child before freeing this level.
-		var childFirst uint32
-		cur := pid
-		for cur != 0 {
-			pg, err := t.pool.Get(cur)
-			if err != nil {
-				return err
-			}
-			next := pNext(pg.Data)
-			if lvl > 0 && childFirst == 0 && pCount(pg.Data) > 0 {
-				childFirst = t.ptr(pg.Data, 0)
-			}
-			t.pool.Unpin(pg, false)
-			if err := t.pool.FreePage(cur); err != nil {
-				return err
-			}
-			cur = next
-		}
-		pid = childFirst
-	}
-	t.meta.Store(0, 0, 0)
-	t.firstLeaf.Store(0)
+	t.SetRoot(level[0].pid, height)
 	return nil
 }
 
@@ -177,11 +144,11 @@ func (t *Tree) Search(k idx.Key) (idx.TupleID, bool, error) {
 // pages are pinned exclusively (concurrent Delete mutates in place);
 // the walk holds at most one leaf latch at a time, moving rightward.
 func (t *Tree) findFirst(k idx.Key, excl bool) (buffer.Page, int, bool, error) {
-	root, height := t.rootHeight()
+	root, height := t.RootHeight()
 	if root == 0 {
 		return buffer.Page{}, 0, false, nil
 	}
-	pid, err := t.leafFor(root, height, k, true)
+	pid, err := t.LeafFor(root, height, k, true)
 	if err != nil {
 		return buffer.Page{}, 0, false, err
 	}
@@ -196,7 +163,7 @@ func (t *Tree) findFirst(k idx.Key, excl bool) (buffer.Page, int, bool, error) {
 		if err != nil {
 			return buffer.Page{}, 0, false, err
 		}
-		t.touchHeader(pg)
+		t.TouchHeader(pg)
 		slot, _ := t.searchPage(pg, k, true)
 		slot++
 		n := pCount(pg.Data)
@@ -217,143 +184,96 @@ func (t *Tree) findFirst(k idx.Key, excl bool) (buffer.Page, int, bool, error) {
 	return buffer.Page{}, 0, false, nil
 }
 
-// Insert implements idx.Index. In concurrent mode the insert descends
-// with exclusive latch crabbing (insertConc); the sequential path below
-// is unchanged.
+// Insert implements idx.Index.
 func (t *Tree) Insert(k idx.Key, tid idx.TupleID) error {
 	t.ops.Inserts.Add(1)
-	if t.conc {
-		return t.insertConc(k, tid)
+	return t.Tree.Insert(k, tid)
+}
+
+// ChildFor implements pagetree.Layout.
+func (t *Tree) ChildFor(pg buffer.Page, k idx.Key, lt bool) uint32 {
+	slot, _ := t.searchPage(pg, k, lt)
+	if slot < 0 {
+		slot = 0
 	}
-	root, height := t.rootHeight()
-	if root == 0 {
-		pg, err := t.pool.NewPage()
-		if err != nil {
-			return err
-		}
-		setType(pg.Data, pageLeaf)
-		t.pool.Unpin(pg, true)
-		t.firstLeaf.Store(pg.ID)
-		t.meta.Store(pg.ID, 0, 1)
-		root, height = pg.ID, 1
+	return t.readPtr(pg, slot)
+}
+
+// ChildForInsert implements pagetree.Layout.
+func (t *Tree) ChildForInsert(pg buffer.Page, k idx.Key) (uint32, bool) {
+	slot, _ := t.searchPage(pg, k, false)
+	lowered := slot < 0
+	if lowered {
+		// k is below every separator: descend leftmost, lowering its
+		// separator so separators remain true lower bounds.
+		slot = 0
+		t.lowerMinKey(pg, k)
 	}
-	split, sepKey, newPID, err := t.insertInto(root, height-1, k, tid)
-	if err != nil {
-		return err
+	return t.readPtr(pg, slot), lowered
+}
+
+// Safe implements pagetree.Layout: a page with a free slot absorbs one
+// more entry without splitting.
+func (t *Tree) Safe(d []byte) bool { return pCount(d) < t.cap }
+
+// InsertOnePage implements pagetree.Layout.
+func (t *Tree) InsertOnePage(pg buffer.Page, k idx.Key, p uint32) (bool, error) {
+	slot, _ := t.searchPage(pg, k, false)
+	if !t.Safe(pg.Data) {
+		return false, nil
 	}
-	if !split {
-		return nil
+	if err := t.insertAt(pg, slot+1, k, p); err != nil {
+		return false, err
 	}
-	// Grow a new root.
-	old, err := t.pool.Get(root)
-	if err != nil {
-		return err
-	}
-	oldMin := t.key(old.Data, 0)
-	t.pool.Unpin(old, false)
-	rootPg, err := t.pool.NewPage()
-	if err != nil {
-		return err
-	}
-	d := rootPg.Data
-	setType(d, pageInternal)
-	setLevel(d, byte(height))
-	setCount(d, 2)
-	t.setKey(d, 0, oldMin)
-	t.setPtr(d, 0, root)
-	t.setKey(d, 1, sepKey)
-	t.setPtr(d, 1, newPID)
-	t.fillMicro(d, 0)
-	t.pool.Unpin(rootPg, true)
-	t.meta.Store(rootPg.ID, 0, height+1)
+	return true, nil
+}
+
+// InitLeafRoot implements pagetree.Layout.
+func (t *Tree) InitLeafRoot(d []byte) error {
+	setType(d, pageLeaf)
 	return nil
 }
 
-// insertInto inserts (k, p) into the subtree rooted at pid (at the given
-// level; p is a tuple ID at level 0 and a child page ID above). If the
-// page splits, it returns the separator and new page for the caller to
-// install.
-func (t *Tree) insertInto(pid uint32, lvl int, k idx.Key, p uint32) (bool, idx.Key, uint32, error) {
-	pg, err := t.pool.Get(pid)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	t.touchHeader(pg)
-	slot, _ := t.searchPage(pg, k, false)
-
-	if lvl > 0 {
-		cslot := slot
-		dirty := false
-		if cslot < 0 {
-			// k is below every separator: descend leftmost, lowering
-			// its separator so separators remain true lower bounds.
-			cslot = 0
-			t.lowerMinKey(pg, k)
-			dirty = true
-		}
-		child := t.readPtr(pg, cslot)
-		t.pool.Unpin(pg, dirty)
-		childSplit, sepKey, newPID, err := t.insertInto(child, lvl-1, k, p)
-		if err != nil || !childSplit {
-			return false, 0, 0, err
-		}
-		// Re-fix the page and install the separator.
-		k, p = sepKey, newPID
-		pg, err = t.pool.Get(pid)
-		if err != nil {
-			return false, 0, 0, err
-		}
-		slot, _ = t.searchPage(pg, k, false)
-	}
-
-	if pCount(pg.Data) < t.cap {
-		err := t.insertAt(pg, slot+1, k, p)
-		t.pool.Unpin(pg, true)
-		return false, 0, 0, err
-	}
-
-	sep, newPID, err := t.splitPage(pg)
-	if err != nil {
-		t.pool.Unpin(pg, true)
-		return false, 0, 0, err
-	}
-	if k >= sep {
-		np, err2 := t.pool.Get(newPID)
-		if err2 != nil {
-			t.pool.Unpin(pg, true)
-			return false, 0, 0, err2
-		}
-		s, _ := t.searchPage(np, k, false)
-		err2 = t.insertAt(np, s+1, k, p)
-		t.pool.Unpin(np, true)
-		if err2 != nil {
-			t.pool.Unpin(pg, true)
-			return false, 0, 0, err2
-		}
-	} else {
-		s, _ := t.searchPage(pg, k, false)
-		if err := t.insertAt(pg, s+1, k, p); err != nil {
-			t.pool.Unpin(pg, true)
-			return false, 0, 0, err
-		}
-	}
-	t.pool.Unpin(pg, true)
-	return true, sep, newPID, nil
+// InitRoot implements pagetree.Layout.
+func (t *Tree) InitRoot(d []byte, level int, leftMin idx.Key, left uint32, sep idx.Key, right uint32) error {
+	setType(d, pageInternal)
+	setLevel(d, byte(level))
+	setCount(d, 2)
+	t.setKey(d, 0, leftMin)
+	t.setPtr(d, 0, left)
+	t.setKey(d, 1, sep)
+	t.setPtr(d, 1, right)
+	t.fillMicro(d, 0)
+	return nil
 }
 
-// splitPage moves the upper half of pg to a new page, threading sibling
-// and jump-pointer links, and returns the separator (the new page's
-// minimum key). In concurrent mode the caller holds pg exclusively, the
+// MinKey implements pagetree.Layout.
+func (t *Tree) MinKey(d []byte) idx.Key { return t.key(d, 0) }
+
+// Next implements pagetree.Layout.
+func (t *Tree) Next(d []byte) uint32 { return pNext(d) }
+
+// FirstChild implements pagetree.Layout.
+func (t *Tree) FirstChild(d []byte) uint32 {
+	if pCount(d) == 0 {
+		return 0
+	}
+	return t.ptr(d, 0)
+}
+
+// SplitPage implements pagetree.Layout: it moves the upper half of pg
+// to a new page, threading sibling and jump-pointer links, and returns
+// the separator (the new page's minimum key). In concurrent mode the caller holds pg exclusively, the
 // new page is born exclusive (it is unreachable until pg's latch
 // drops), and the right sibling's prev fix happens under its exclusive
 // latch while pg is still held — a left-to-right, same-level
 // acquisition permitted by the global latch order, and the hold on pg
 // keeps a racing split of the new page from publishing first.
-func (t *Tree) splitPage(pg buffer.Page) (idx.Key, uint32, error) {
+func (t *Tree) SplitPage(pg buffer.Page) (idx.Key, uint32, error) {
 	d := pg.Data
 	n := pCount(d)
 	mid := n / 2
-	np, err := t.newPageWrite()
+	np, err := t.NewPageWrite()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -376,7 +296,7 @@ func (t *Tree) splitPage(pg buffer.Page) (idx.Key, uint32, error) {
 	setPrev(nd, pg.ID)
 	setNext(d, np.ID)
 	if right != 0 {
-		rp, err := t.getWrite(right)
+		rp, err := t.GetWrite(right)
 		if err != nil {
 			t.pool.Unpin(np, true)
 			return 0, 0, err
@@ -403,7 +323,7 @@ func (t *Tree) Delete(k idx.Key) (bool, error) {
 	t.ops.Deletes.Add(1)
 	// Concurrent mode pins the leaf exclusively; the descent itself
 	// needs no write latches because lazy deletion never restructures.
-	pg, slot, found, err := t.findFirst(k, t.conc)
+	pg, slot, found, err := t.findFirst(k, t.Conc())
 	if err != nil || !found {
 		return false, err
 	}

@@ -32,7 +32,7 @@ func (t *Tree) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st buff
 			tid, found, st = 0, false, buffer.OptRetry
 		}
 	}()
-	root, height := t.rootHeight()
+	root, height := t.RootHeight()
 	if root == 0 {
 		return 0, false, buffer.OptDone
 	}

@@ -13,17 +13,17 @@ import (
 // prefetched in reverse consumption order.
 func (t *Tree) RangeScanReverse(startKey, endKey idx.Key, fn func(idx.Key, idx.TupleID) bool) (int, error) {
 	t.ops.ReverseScans.Add(1)
-	root, height := t.rootHeight()
+	root, height := t.RootHeight()
 	if root == 0 || startKey > endKey {
 		return 0, nil
 	}
-	endLeaf, err := t.leafFor(root, height, endKey, false)
+	endLeaf, err := t.LeafFor(root, height, endKey, false)
 	if err != nil {
 		return 0, err
 	}
 	var pids []uint32 // leaf pages in reverse scan order
 	if t.jpa {
-		startLeaf, err := t.leafFor(root, height, startKey, true)
+		startLeaf, err := t.LeafFor(root, height, startKey, true)
 		if err != nil {
 			return 0, err
 		}
@@ -54,7 +54,7 @@ func (t *Tree) RangeScanReverse(startKey, endKey idx.Key, fn func(idx.Key, idx.T
 		if err != nil {
 			return count, err
 		}
-		t.touchHeader(pg)
+		t.TouchHeader(pg)
 		i := pCount(pg.Data) - 1
 		if first {
 			// Position on the last entry <= endKey.

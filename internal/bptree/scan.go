@@ -3,7 +3,6 @@ package bptree
 import (
 	"fmt"
 
-	"repro/internal/buffer"
 	"repro/internal/idx"
 	"repro/internal/memsim"
 )
@@ -14,18 +13,18 @@ import (
 // and keeps PrefetchWindow leaf pages in flight ahead of consumption.
 func (t *Tree) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.TupleID) bool) (int, error) {
 	t.ops.Scans.Add(1)
-	root, height := t.rootHeight()
+	root, height := t.RootHeight()
 	if root == 0 || startKey > endKey {
 		return 0, nil
 	}
-	startLeaf, err := t.leafFor(root, height, startKey, true)
+	startLeaf, err := t.LeafFor(root, height, startKey, true)
 	if err != nil {
 		return 0, err
 	}
 
 	var pids []uint32 // leaf pages to prefetch, in scan order
 	if t.jpa {
-		endLeaf, err := t.leafFor(root, height, endKey, true)
+		endLeaf, err := t.LeafFor(root, height, endKey, true)
 		if err != nil {
 			return 0, err
 		}
@@ -53,7 +52,7 @@ func (t *Tree) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.TupleID)
 		if err != nil {
 			return count, err
 		}
-		t.touchHeader(pg)
+		t.TouchHeader(pg)
 		n := pCount(pg.Data)
 		i := 0
 		if first {
@@ -89,47 +88,6 @@ func (t *Tree) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.TupleID)
 	return count, nil
 }
 
-// leafFor descends from the given (root, height) snapshot to the leaf
-// page that would contain k (charging normal search traffic). Forward
-// scans and lookups descend with strictly-less comparisons (lt) so they
-// never start past duplicates equal to a separator; reverse scans
-// descend with lt=false to the rightmost leaf that can hold a key <= k.
-// On a latched pool each child is pinned (shared-latched) before the
-// parent's latch is released, so the child pointer just read cannot be
-// restructured out from under the descent; acquisitions run strictly
-// top-down, consistent with writer crabbing, so blocking here cannot
-// deadlock. Sequentially the parent is released before the child is
-// pinned: the simulated I/O counts depend on that pool call order.
-func (t *Tree) leafFor(root uint32, height int, k idx.Key, lt bool) (uint32, error) {
-	pid := root
-	var parent buffer.Page
-	for lvl := height - 1; lvl > 0; lvl-- {
-		pg, err := t.pool.Get(pid)
-		if parent.Valid() {
-			t.pool.Unpin(parent, false)
-			parent = buffer.Page{}
-		}
-		if err != nil {
-			return 0, err
-		}
-		t.touchHeader(pg)
-		slot, _ := t.searchPage(pg, k, lt)
-		if slot < 0 {
-			slot = 0
-		}
-		pid = t.readPtr(pg, slot)
-		if t.conc {
-			parent = pg
-		} else {
-			t.pool.Unpin(pg, false)
-		}
-	}
-	if parent.Valid() {
-		t.pool.Unpin(parent, false)
-	}
-	return pid, nil
-}
-
 // leafPagesBetween walks the leaf-parent jump-pointer chain and returns
 // the leaf page IDs from startLeaf through endLeaf inclusive.
 func (t *Tree) leafPagesBetween(root uint32, height int, startKey idx.Key, startLeaf, endLeaf uint32) ([]uint32, error) {
@@ -143,11 +101,7 @@ func (t *Tree) leafPagesBetween(root uint32, height int, startKey idx.Key, start
 		if err != nil {
 			return nil, err
 		}
-		slot, _ := t.searchPage(pg, startKey, true)
-		if slot < 0 {
-			slot = 0
-		}
-		child := t.readPtr(pg, slot)
+		child := t.ChildFor(pg, startKey, true)
 		t.pool.Unpin(pg, false)
 		pid = child
 	}
@@ -158,7 +112,7 @@ func (t *Tree) leafPagesBetween(root uint32, height int, startKey idx.Key, start
 		if err != nil {
 			return nil, err
 		}
-		t.touchHeader(pg)
+		t.TouchHeader(pg)
 		n := pCount(pg.Data)
 		for i := 0; i < n; i++ {
 			child := t.ptr(pg.Data, i)
@@ -180,78 +134,28 @@ func (t *Tree) leafPagesBetween(root uint32, height int, startKey idx.Key, start
 	return pids, nil
 }
 
-// PageCount implements idx.Index: it walks every level via sibling
-// links (no memory-model charges).
-func (t *Tree) PageCount() int {
-	root, height := t.rootHeight()
-	if root == 0 {
-		return 0
-	}
-	total := 0
-	pid := root
-	for lvl := height - 1; lvl >= 0; lvl-- {
-		var childFirst uint32
-		cur := pid
-		for cur != 0 {
-			pg, err := t.pool.Get(cur)
-			if err != nil {
-				return -1
-			}
-			total++
-			if lvl > 0 && childFirst == 0 && pCount(pg.Data) > 0 {
-				childFirst = t.ptr(pg.Data, 0)
-			}
-			next := pNext(pg.Data)
-			t.pool.Unpin(pg, false)
-			cur = next
-		}
-		pid = childFirst
-	}
-	return total
-}
-
-// SpaceStats implements idx.Index: the same level walk as PageCount,
-// classifying pages and counting leaf entries.
+// SpaceStats implements idx.Index: a level walk classifying pages and
+// counting leaf entries.
 func (t *Tree) SpaceStats() (idx.SpaceStats, error) {
 	var st idx.SpaceStats
-	root, height := t.rootHeight()
-	if root == 0 {
-		return st, nil
-	}
-	pid := root
-	for lvl := height - 1; lvl >= 0; lvl-- {
-		var childFirst uint32
-		cur := pid
-		for cur != 0 {
-			pg, err := t.pool.Get(cur)
-			if err != nil {
-				return st, err
-			}
-			st.Pages++
-			if lvl == 0 {
-				st.LeafPages++
-				st.Entries += pCount(pg.Data)
-			} else {
-				st.NodePages++
-				if childFirst == 0 && pCount(pg.Data) > 0 {
-					childFirst = t.ptr(pg.Data, 0)
-				}
-			}
-			next := pNext(pg.Data)
-			t.pool.Unpin(pg, false)
-			cur = next
+	err := t.Walk(func(lvl int, d []byte) {
+		st.Pages++
+		if lvl == 0 {
+			st.LeafPages++
+			st.Entries += pCount(d)
+		} else {
+			st.NodePages++
 		}
-		pid = childFirst
-	}
+	})
 	if st.LeafPages > 0 {
 		st.Utilization = float64(st.Entries) / float64(st.LeafPages*t.cap)
 	}
-	return st, nil
+	return st, err
 }
 
 // CheckInvariants implements idx.Index.
 func (t *Tree) CheckInvariants() error {
-	root, height := t.rootHeight()
+	root, height := t.RootHeight()
 	if root == 0 {
 		return nil
 	}
@@ -260,7 +164,7 @@ func (t *Tree) CheckInvariants() error {
 		return err
 	}
 	// The leaf chain must enumerate exactly the reachable leaves, in order.
-	pid := t.firstLeaf.Load()
+	pid := t.FirstLeaf()
 	i := 0
 	var prevID uint32
 	var lastKey idx.Key

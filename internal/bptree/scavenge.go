@@ -1,72 +1,19 @@
 package bptree
 
-import (
-	"repro/internal/idx"
-)
+import "repro/internal/idx"
 
-// Scavenge implements idx.Index: rebuild the tree from its surviving
-// leaf chain after permanent page loss or detected corruption. The walk
-// starts at the in-memory leftmost-leaf pointer (which survives any
-// media failure) and salvages entries until the chain ends or turns
-// bad: an unreadable leaf, a non-leaf page, an impossible count, a key
-// regression, or a chain longer than the allocated page set (loop
-// guard). The old page set is abandoned without recycling its IDs — a
-// permanently unreadable ID must never be reallocated into the new
-// tree — and stale buffered copies are discarded rather than flushed.
-func (t *Tree) Scavenge() (idx.ScavengeStats, error) {
-	var st idx.ScavengeStats
-	var entries []idx.Entry
-	var lastKey idx.Key
-	have := false
-	maxLeaves := int(t.pool.MaxPageID())
-	pid := t.firstLeaf.Load()
-	for pid != 0 {
-		if st.LeavesRead >= maxLeaves {
-			st.Truncated = true
-			break
-		}
-		pg, err := t.pool.Get(pid)
-		if err != nil {
-			st.Truncated = true
-			break
-		}
-		d := pg.Data
-		n := pCount(d)
-		if pType(d) != pageLeaf || n > t.cap {
-			t.pool.Unpin(pg, false)
-			st.Truncated = true
-			break
-		}
-		bad := false
-		for i := 0; i < n; i++ {
-			k := t.key(d, i)
-			if have && k < lastKey {
-				bad = true
-				break
-			}
-			lastKey, have = k, true
-			entries = append(entries, idx.Entry{Key: k, TID: t.ptr(d, i)})
-		}
-		next := pNext(d)
-		t.pool.Unpin(pg, false)
-		st.LeavesRead++
-		if bad {
-			st.Truncated = true
-			break
-		}
-		pid = next
-	}
-	st.Entries = len(entries)
+// Scavenge implements idx.Index: pagetree salvages the surviving leaf
+// chain and Bulkload rebuilds the tree from it.
+func (t *Tree) Scavenge() (idx.ScavengeStats, error) { return t.Tree.Scavenge(t.Bulkload) }
 
-	if err := t.pool.DiscardAll(); err != nil {
-		return st, err
+// SalvageLeaf implements pagetree.Layout.
+func (t *Tree) SalvageLeaf(d []byte, dst []idx.Entry) ([]idx.Entry, bool) {
+	n := pCount(d)
+	if pType(d) != pageLeaf || n > t.cap {
+		return dst, false
 	}
-	// Zeroing the root first makes Bulkload's freeAll a no-op, so the
-	// old (possibly unreadable) pages leak instead of being recycled.
-	t.meta.Store(0, 0, 0)
-	t.firstLeaf.Store(0)
-	if err := t.Bulkload(entries, idx.ScavengeFill); err != nil {
-		return st, err
+	for i := 0; i < n; i++ {
+		dst = append(dst, idx.Entry{Key: t.key(d, i), TID: t.ptr(d, i)})
 	}
-	return st, nil
+	return dst, true
 }

@@ -85,11 +85,6 @@ type CacheFirstConfig struct {
 	// byte-comparable with the dense default. Gapped trees cannot store
 	// the maximum key value (it is the gap sentinel).
 	GappedLeaves bool
-	// OptimisticReads lets point lookups descend latch-free, validating
-	// per-page latch versions (on top of the relocation epoch) instead
-	// of holding shared latches (DESIGN.md §11.6). Effective only on a
-	// latched pool in a build without the race detector.
-	OptimisticReads bool
 	// Trace, when non-nil, receives one event per node visit.
 	Trace *obs.Tracer
 }
@@ -198,7 +193,7 @@ func NewCacheFirst(cfg CacheFirstConfig) (*CacheFirst, error) {
 		gapped:      cfg.GappedLeaves,
 		tr:          cfg.Trace,
 		conc:        cfg.Pool.Latches() != nil,
-		opt:         cfg.OptimisticReads && cfg.Pool.OptSupported(),
+		opt:         cfg.Pool.OptSupported(),
 	}, nil
 }
 

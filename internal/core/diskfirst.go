@@ -20,13 +20,13 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/buffer"
 	"repro/internal/idx"
 	"repro/internal/memsim"
 	"repro/internal/obs"
+	"repro/internal/pagetree"
 	"repro/internal/prefetch"
 	"repro/internal/sizing"
 )
@@ -99,17 +99,18 @@ type DiskFirstConfig struct {
 	// default dense layout keeps simulation output byte-identical.
 	// Gapped trees cannot store the sentinel key value itself.
 	GappedLeaves bool
-	// OptimisticReads lets point lookups descend latch-free, validating
-	// per-page latch versions instead of holding shared latches
-	// (DESIGN.md §11.6). Effective only on a latched pool in a build
-	// without the race detector; ignored otherwise.
-	OptimisticReads bool
 	// Trace, when non-nil, receives one event per in-page node visit.
 	Trace *obs.Tracer
 }
 
-// DiskFirst is a disk-first fpB+-Tree.
+// DiskFirst is a disk-first fpB+-Tree. At page granularity it is the
+// disk-optimized B+-Tree (§3.1), so the page-level protocol — root and
+// leftmost-leaf state, descent to a leaf page, serial and crabbing
+// insert, batch descent, scavenge, durable meta — is the embedded
+// pagetree.Tree; this type supplies the in-page trees as its Layout.
 type DiskFirst struct {
+	pagetree.Tree
+
 	pool *buffer.Pool
 	mm   *memsim.Model
 
@@ -121,20 +122,10 @@ type DiskFirst struct {
 	fanout     int // max entries per page (Table 2 "page fan-out")
 	leafNodes  int // in-page leaf nodes per page in the canonical layout
 
-	// meta packs (root page, page-level height) atomically; a stale
-	// pair stays a valid entry point (splits move keys right and the
-	// leaf walks recover rightward). See idx.TreeMeta.
-	meta      idx.TreeMeta
-	firstLeaf atomic.Uint32
-
-	// conc is set when the pool carries a latch table: writers descend
-	// with exclusive latch crabbing (insertConc) and page mutations
-	// take exclusive pins; sequentially every latch call is a no-op.
-	conc bool
 	// opt enables the optimistic (version-validated, latch-free) read
-	// descent; requires conc and a non-race build (pool.OptSupported).
-	opt    bool
-	growMu sync.Mutex // serializes first-root creation in conc mode
+	// descent (DESIGN.md §11.6): a latched pool in a build without the
+	// race detector.
+	opt bool
 
 	jpa       bool
 	pfWindow  int
@@ -149,8 +140,6 @@ type DiskFirst struct {
 	// inserts that landed in an adjacent gap with zero displacement.
 	shiftHist *obs.Histogram
 	gapFills  atomic.Uint64
-
-	batch idx.BatchScratch
 }
 
 // NewDiskFirst creates an empty tree.
@@ -182,7 +171,7 @@ func NewDiskFirst(cfg DiskFirstConfig) (*DiskFirst, error) {
 	if pf <= 0 {
 		pf = 16
 	}
-	return &DiskFirst{
+	t := &DiskFirst{
 		pool:      cfg.Pool,
 		mm:        cfg.Model,
 		pageSize:  ps,
@@ -193,14 +182,15 @@ func NewDiskFirst(cfg DiskFirstConfig) (*DiskFirst, error) {
 		capL:      sizing.DiskFirstLeafCap(x),
 		fanout:    leaves * sizing.DiskFirstLeafCap(x),
 		leafNodes: leaves,
-		conc:      cfg.Pool.Latches() != nil,
-		opt:       cfg.OptimisticReads && cfg.Pool.OptSupported(),
+		opt:       cfg.Pool.OptSupported(),
 		jpa:       cfg.EnableJPA,
 		pfWindow:  pf,
 		overshoot: cfg.NoOvershootProtection,
 		gapped:    cfg.GappedLeaves,
 		tr:        cfg.Trace,
-	}, nil
+	}
+	t.Init(cfg.Pool, t)
+	return t, nil
 }
 
 // GapFills reports inserts that filled an adjacent gap slot without
@@ -218,35 +208,6 @@ func (t *DiskFirst) Stats() idx.OpStats { return t.ops.Snapshot() }
 
 // ResetStats implements idx.Index.
 func (t *DiskFirst) ResetStats() { t.ops.Reset() }
-
-// Height implements idx.Index.
-func (t *DiskFirst) Height() int {
-	_, h := t.rootHeight()
-	return h
-}
-
-// rootHeight loads the tree's (root page, height) pair atomically.
-func (t *DiskFirst) rootHeight() (uint32, int) {
-	pid, _, h := t.meta.Load()
-	return pid, h
-}
-
-// getWrite pins pid for mutation: exclusively latched in concurrent
-// mode, a plain pin sequentially (identical pool call order).
-func (t *DiskFirst) getWrite(pid uint32) (buffer.Page, error) {
-	if t.conc {
-		return t.pool.GetX(pid)
-	}
-	return t.pool.Get(pid)
-}
-
-// newPageWrite allocates a page pinned for mutation (see getWrite).
-func (t *DiskFirst) newPageWrite() (buffer.Page, error) {
-	if t.conc {
-		return t.pool.NewPageX()
-	}
-	return t.pool.NewPage()
-}
 
 // Fanout reports the maximum entries per page.
 func (t *DiskFirst) Fanout() int { return t.fanout }
@@ -407,7 +368,8 @@ func (t *DiskFirst) visitLeaf(pg buffer.Page, off int) {
 	}
 }
 
-func (t *DiskFirst) touchHeader(pg buffer.Page) {
+// TouchHeader implements pagetree.Layout.
+func (t *DiskFirst) TouchHeader(pg buffer.Page) {
 	t.mm.Access(pg.Addr, 32)
 	t.mm.Busy(memsim.CostNodeVisit)
 }

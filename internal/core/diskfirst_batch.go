@@ -1,109 +1,22 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/buffer"
 	"repro/internal/idx"
 )
 
-// scratch returns the batch scratch for one SearchBatch call: the
-// tree's own scratch sequentially (deterministic 0-alloc warm path), a
-// sync.Pool draw in concurrent mode so simultaneous read-only batches
-// never share state.
-func (t *DiskFirst) scratch() *idx.BatchScratch {
-	if t.conc {
-		return idx.GetScratch()
-	}
-	return &t.batch
-}
-
-func (t *DiskFirst) releaseScratch(s *idx.BatchScratch) {
-	if t.conc {
-		idx.PutScratch(s)
-	}
-}
-
-// SearchBatch implements idx.Index. The batch is sorted and descended
-// page-level by page-level: all keys landing in the same page share one
-// buffer-pool Get (the two-granularity in-page descent is still charged
-// per key), and the next level's distinct pages are prefetched before
-// descending, so a batch pins each distinct page once per level instead
-// of once per key.
+// SearchBatch implements idx.Index (the page-level-wise descent is
+// pagetree's; the two-granularity in-page descent is charged per key).
 func (t *DiskFirst) SearchBatch(keys []idx.Key, out []idx.SearchResult) ([]idx.SearchResult, error) {
 	t.ops.Batches.Add(1)
 	t.ops.BatchedKeys.Add(uint64(len(keys)))
-	base := len(out)
-	out = idx.GrowResults(out, len(keys))
-	root, height := t.rootHeight()
-	if root == 0 || len(keys) == 0 {
-		return out, nil
-	}
-	s := t.scratch()
-	defer t.releaseScratch(s)
-	s.Prepare(keys)
-	n := len(keys)
-	for i := 0; i < n; i++ {
-		s.Cur[i] = root
-	}
-
-	// Page-level descent (leafPageFor, batched).
-	for lvl := height - 1; lvl > 0; lvl-- {
-		for i := 0; i < n; {
-			pid := s.Cur[i]
-			pg, err := t.pool.Get(pid)
-			if err != nil {
-				return out, err
-			}
-			t.touchHeader(pg)
-			j := i
-			for ; j < n && s.Cur[j] == pid; j++ {
-				child := t.inPageChildFor(pg, keys[s.Ord[j]], true)
-				if child == 0 {
-					t.pool.Unpin(pg, false)
-					return out, fmt.Errorf("core: nil child during batched descent")
-				}
-				s.Next[j] = child
-			}
-			t.pool.Unpin(pg, false)
-			i = j
-		}
-		s.SwapLevels()
-		if err := t.pool.PrefetchRun(s.Cur); err != nil {
-			return out, err
-		}
-	}
-
-	// Leaf phase: one Get per distinct landing page; each key then
-	// replays findFirst's in-page walk (and, rarely, the cross-page
-	// duplicate-run walk).
-	for i := 0; i < n; {
-		pid := s.Cur[i]
-		pg, err := t.pool.Get(pid)
-		if err != nil {
-			return out, err
-		}
-		t.touchHeader(pg)
-		j := i
-		for ; j < n && s.Cur[j] == pid; j++ {
-			ki := s.Ord[j]
-			tid, found, err := t.resolveLeaf(pg, keys[ki])
-			if err != nil {
-				t.pool.Unpin(pg, false)
-				return out, err
-			}
-			out[base+int(ki)] = idx.SearchResult{TID: tid, Found: found}
-		}
-		t.pool.Unpin(pg, false)
-		i = j
-	}
-	return out, nil
+	return t.Tree.SearchBatch(keys, out)
 }
 
-// resolveLeaf finishes a search for k from the pinned leaf page pg
-// (which the caller unpins), replicating findFirst's walk over in-page
+// ResolveLeaf implements pagetree.Layout: it finishes a search for k
+// from the pinned leaf page pg (which the caller unpins), replicating findFirst's walk over in-page
 // leaf nodes, empty pages, and page siblings.
-func (t *DiskFirst) resolveLeaf(pg buffer.Page, k idx.Key) (idx.TupleID, bool, error) {
+func (t *DiskFirst) ResolveLeaf(pg buffer.Page, k idx.Key) (idx.TupleID, bool, error) {
 	cur := pg
 	owned := false
 	unpin := func() {
@@ -148,7 +61,7 @@ func (t *DiskFirst) resolveLeaf(pg buffer.Page, k idx.Key) (idx.TupleID, bool, e
 		if err != nil {
 			return 0, false, err
 		}
-		t.touchHeader(npg)
+		t.TouchHeader(npg)
 		cur = npg
 		owned = true
 	}

@@ -12,7 +12,7 @@ import (
 // free chains, correct entry counts), and at the page level: separator
 // bounds, sibling/jump-pointer chains, and leaf reachability.
 func (t *DiskFirst) CheckInvariants() error {
-	root, height := t.rootHeight()
+	root, height := t.RootHeight()
 	if root == 0 {
 		return nil
 	}
@@ -21,7 +21,7 @@ func (t *DiskFirst) CheckInvariants() error {
 		return err
 	}
 	// Leaf page chain.
-	pid := t.firstLeaf.Load()
+	pid := t.FirstLeaf()
 	i := 0
 	var prevID uint32
 	var last idx.Key

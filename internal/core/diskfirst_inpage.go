@@ -622,9 +622,9 @@ func (t *DiskFirst) inPageSearch(pg buffer.Page, k idx.Key) (uint32, bool) {
 	return t.lPtr(pg.Data, leafOff, slot), true
 }
 
-// inPageChildFor returns the child pointer to follow for k in a nonleaf
-// page (clamping below the leftmost separator).
-func (t *DiskFirst) inPageChildFor(pg buffer.Page, k idx.Key, lt bool) uint32 {
+// ChildFor implements pagetree.Layout: the child pointer to follow for
+// k in a nonleaf page (clamping below the leftmost separator).
+func (t *DiskFirst) ChildFor(pg buffer.Page, k idx.Key, lt bool) uint32 {
 	leafOff := t.descendInPage(pg, k, lt, nil)
 	t.visitLeaf(pg, leafOff)
 	slot, _ := t.searchLeafNode(pg, leafOff, k, lt)

@@ -18,7 +18,7 @@ func (t *DiskFirst) Bulkload(entries []idx.Entry, fill float64) error {
 	if err := idx.ValidateSorted(entries); err != nil {
 		return err
 	}
-	if err := t.freeAll(); err != nil {
+	if err := t.FreeAll(); err != nil {
 		return err
 	}
 	per := int(fill * float64(t.fanout))
@@ -85,7 +85,7 @@ func (t *DiskFirst) Bulkload(entries []idx.Entry, fill float64) error {
 	if err != nil {
 		return err
 	}
-	t.firstLeaf.Store(level[0].pid)
+	t.SetFirstLeaf(level[0].pid)
 	height := 1
 	for len(level) > 1 {
 		prs = prs[:0]
@@ -97,41 +97,7 @@ func (t *DiskFirst) Bulkload(entries []idx.Entry, fill float64) error {
 		}
 		height++
 	}
-	t.meta.Store(level[0].pid, 0, height)
-	return nil
-}
-
-// freeAll returns the tree's pages to the pool.
-func (t *DiskFirst) freeAll() error {
-	root, height := t.rootHeight()
-	if root == 0 {
-		return nil
-	}
-	pid := root
-	for lvl := height - 1; lvl >= 0; lvl-- {
-		var childFirst uint32
-		cur := pid
-		for cur != 0 {
-			pg, err := t.pool.Get(cur)
-			if err != nil {
-				return err
-			}
-			next := dfNextPage(pg.Data)
-			if lvl > 0 && childFirst == 0 {
-				if fl := dfFirstLeaf(pg.Data); fl != 0 && t.lCount(pg.Data, fl) > 0 {
-					childFirst = t.lPtr(pg.Data, fl, 0)
-				}
-			}
-			t.pool.Unpin(pg, false)
-			if err := t.pool.FreePage(cur); err != nil {
-				return err
-			}
-			cur = next
-		}
-		pid = childFirst
-	}
-	t.meta.Store(0, 0, 0)
-	t.firstLeaf.Store(0)
+	t.SetRoot(level[0].pid, height)
 	return nil
 }
 
@@ -159,11 +125,11 @@ func (t *DiskFirst) Search(k idx.Key) (idx.TupleID, bool, error) {
 // pages are pinned exclusively (concurrent Delete mutates in place);
 // the walk holds one leaf latch at a time, moving rightward.
 func (t *DiskFirst) findFirst(k idx.Key, excl bool) (buffer.Page, int, int, bool, error) {
-	root, height := t.rootHeight()
+	root, height := t.RootHeight()
 	if root == 0 {
 		return buffer.Page{}, 0, 0, false, nil
 	}
-	pid, err := t.leafPageFor(root, height, k, true)
+	pid, err := t.LeafFor(root, height, k, true)
 	if err != nil {
 		return buffer.Page{}, 0, 0, false, err
 	}
@@ -179,7 +145,7 @@ func (t *DiskFirst) findFirst(k idx.Key, excl bool) (buffer.Page, int, int, bool
 		if err != nil {
 			return buffer.Page{}, 0, 0, false, err
 		}
-		t.touchHeader(pg)
+		t.TouchHeader(pg)
 		if dfEntries(pg.Data) == 0 {
 			// Lazy deletion can leave empty pages; skip them without
 			// walking their in-page leaf chain.
@@ -217,64 +183,31 @@ func (t *DiskFirst) findFirst(k idx.Key, excl bool) (buffer.Page, int, int, bool
 	return buffer.Page{}, 0, 0, false, nil
 }
 
-// Insert implements idx.Index. In concurrent mode the insert descends
-// with exclusive latch crabbing (insertConc); the sequential path below
-// is unchanged.
+// Insert implements idx.Index.
 func (t *DiskFirst) Insert(k idx.Key, tid idx.TupleID) error {
 	t.ops.Inserts.Add(1)
 	if t.gapped && k == gapSentinel {
 		return fmt.Errorf("core: key %#x is reserved as the gap sentinel under GappedLeaves", uint32(k))
 	}
-	if t.conc {
-		return t.insertConc(k, tid)
-	}
-	root, height := t.rootHeight()
-	if root == 0 {
-		pg, err := t.pool.NewPage()
-		if err != nil {
-			return err
-		}
-		dfSetType(pg.Data, dfPageLeaf)
-		if err := t.buildInPage(pg.Data, nil, true); err != nil {
-			t.pool.Unpin(pg, true)
-			return err
-		}
-		t.pool.Unpin(pg, true)
-		t.firstLeaf.Store(pg.ID)
-		t.meta.Store(pg.ID, 0, 1)
-		root, height = pg.ID, 1
-	}
-	split, sepKey, newPID, err := t.insertInto(root, height-1, k, tid)
-	if err != nil {
-		return err
-	}
-	if !split {
-		return nil
-	}
-	// Grow a new root page.
-	old, err := t.pool.Get(root)
-	if err != nil {
-		return err
-	}
-	oldMin := t.pageMinKey(old.Data)
-	t.pool.Unpin(old, false)
-	rootPg, err := t.pool.NewPage()
-	if err != nil {
-		return err
-	}
-	dfSetType(rootPg.Data, dfPageNonleaf)
-	dfSetLevel(rootPg.Data, byte(height))
-	if err := t.buildInPage(rootPg.Data, []pair{{oldMin, root}, {sepKey, newPID}}, false); err != nil {
-		t.pool.Unpin(rootPg, true)
-		return err
-	}
-	t.pool.Unpin(rootPg, true)
-	t.meta.Store(rootPg.ID, 0, height+1)
-	return nil
+	return t.Tree.Insert(k, tid)
 }
 
-// pageMinKey reads the first entry key of a page (its min separator).
-func (t *DiskFirst) pageMinKey(d []byte) idx.Key {
+// InitLeafRoot implements pagetree.Layout.
+func (t *DiskFirst) InitLeafRoot(d []byte) error {
+	dfSetType(d, dfPageLeaf)
+	return t.buildInPage(d, nil, true)
+}
+
+// InitRoot implements pagetree.Layout.
+func (t *DiskFirst) InitRoot(d []byte, level int, leftMin idx.Key, left uint32, sep idx.Key, right uint32) error {
+	dfSetType(d, dfPageNonleaf)
+	dfSetLevel(d, byte(level))
+	return t.buildInPage(d, []pair{{leftMin, left}, {sep, right}}, false)
+}
+
+// MinKey implements pagetree.Layout: the first entry key of a page
+// (its min separator).
+func (t *DiskFirst) MinKey(d []byte) idx.Key {
 	for off := dfFirstLeaf(d); off != 0; off = t.lNext(d, off) {
 		if i := t.lFirstOccupied(d, off); i >= 0 {
 			return t.lKey(d, off, i)
@@ -283,92 +216,61 @@ func (t *DiskFirst) pageMinKey(d []byte) idx.Key {
 	return 0
 }
 
-func (t *DiskFirst) insertInto(pid uint32, lvl int, k idx.Key, p uint32) (bool, idx.Key, uint32, error) {
-	pg, err := t.pool.Get(pid)
-	if err != nil {
-		return false, 0, 0, err
-	}
-	t.touchHeader(pg)
+// Next implements pagetree.Layout.
+func (t *DiskFirst) Next(d []byte) uint32 { return dfNextPage(d) }
 
-	if lvl > 0 {
-		child, lowered := t.childForInsert(pg, k)
-		t.pool.Unpin(pg, lowered)
-		childSplit, sepKey, newPID, err := t.insertInto(child, lvl-1, k, p)
-		if err != nil || !childSplit {
-			return false, 0, 0, err
-		}
-		k, p = sepKey, newPID
-		pg, err = t.pool.Get(pid)
-		if err != nil {
-			return false, 0, 0, err
+// FirstChild implements pagetree.Layout.
+func (t *DiskFirst) FirstChild(d []byte) uint32 {
+	for off := dfFirstLeaf(d); off != 0; off = t.lNext(d, off) {
+		if t.lCount(d, off) > 0 {
+			return t.lPtr(d, off, 0)
 		}
 	}
-
-	if t.inPageInsert(pg, k, p) {
-		t.pool.Unpin(pg, true)
-		return false, 0, 0, nil
-	}
-
-	// No in-page space. §3.1.2: if the page still has plenty of free
-	// entry slots (more than one empty slot per in-page leaf node),
-	// reorganize the in-page tree; otherwise split the page. Gapped leaf
-	// pages split earlier: a rebuild must leave every node strictly
-	// under the early-split occupancy threshold or the retried insert
-	// would immediately demand another split.
-	n := dfEntries(pg.Data)
-	limit := t.fanout - t.leafNodes
-	if t.gappedLeafPage(pg.Data) {
-		if gl := (t.leafSplitAt(true) - 1) * t.leafNodes; gl < limit {
-			limit = gl
-		}
-	}
-	if n < limit {
-		if err := t.reorganizePage(pg); err != nil {
-			t.pool.Unpin(pg, true)
-			return false, 0, 0, err
-		}
-		if !t.inPageInsert(pg, k, p) {
-			t.pool.Unpin(pg, true)
-			return false, 0, 0, fmt.Errorf("core: insert failed after reorganizing page %d (%d entries)", pid, n)
-		}
-		t.pool.Unpin(pg, true)
-		return false, 0, 0, nil
-	}
-
-	sep, newPID, err := t.splitPage(pg)
-	if err != nil {
-		t.pool.Unpin(pg, true)
-		return false, 0, 0, err
-	}
-	var target buffer.Page
-	if k >= sep {
-		np, err2 := t.pool.Get(newPID)
-		if err2 != nil {
-			t.pool.Unpin(pg, true)
-			return false, 0, 0, err2
-		}
-		target = np
-	} else {
-		target = pg
-	}
-	if !t.inPageInsert(target, k, p) {
-		if target.ID != pg.ID {
-			t.pool.Unpin(target, true)
-		}
-		t.pool.Unpin(pg, true)
-		return false, 0, 0, fmt.Errorf("core: insert failed after splitting page %d", pid)
-	}
-	if target.ID != pg.ID {
-		t.pool.Unpin(target, true)
-	}
-	t.pool.Unpin(pg, true)
-	return true, sep, newPID, nil
+	return 0
 }
 
-// childForInsert descends a nonleaf page for an insertion, lowering the
-// page's minimum separator when k falls below it (so page-level
-// separators remain true lower bounds), and returns the child page ID.
-func (t *DiskFirst) childForInsert(pg buffer.Page, k idx.Key) (uint32, bool) {
+// Safe implements pagetree.Layout: the safe-node rule of the crabbing
+// descent and the reorganize-or-split rule of §3.1.2 are one
+// predicate. A page with fewer than fanout-leafNodes entries (more
+// than one empty slot per in-page leaf node) can always absorb one
+// more entry, reorganizing its in-page tree if needed, and therefore
+// cannot split.
+func (t *DiskFirst) Safe(d []byte) bool {
+	if t.gappedLeafPage(d) {
+		// Gapped leaf nodes refuse direct inserts at the two-thirds
+		// split threshold, so the dense bound overstates what this page
+		// can absorb: a reorganize spreads the entries evenly over the
+		// canonical leaf nodes, and the follow-up insert is guaranteed
+		// only while every rebuilt node stays below that threshold.
+		return dfEntries(d) < t.leafNodes*(t.leafSplitAt(true)-1)
+	}
+	return dfEntries(d) < t.fanout-t.leafNodes
+}
+
+// InsertOnePage implements pagetree.Layout: direct in-page insert,
+// else reorganize-and-insert when the page is safe. ok=false means the
+// page must split.
+func (t *DiskFirst) InsertOnePage(pg buffer.Page, k idx.Key, p uint32) (bool, error) {
+	if t.inPageInsert(pg, k, p) {
+		return true, nil
+	}
+	if !t.Safe(pg.Data) {
+		return false, nil
+	}
+	if err := t.reorganizePage(pg); err != nil {
+		return false, err
+	}
+	if !t.inPageInsert(pg, k, p) {
+		return false, fmt.Errorf("core: insert failed after reorganizing page %d (%d entries)", pg.ID, dfEntries(pg.Data))
+	}
+	return true, nil
+}
+
+// ChildForInsert implements pagetree.Layout: it descends a nonleaf page
+// for an insertion, lowering the page's minimum separator when k falls
+// below it (so page-level separators remain true lower bounds), and
+// returns the child page ID.
+func (t *DiskFirst) ChildForInsert(pg buffer.Page, k idx.Key) (uint32, bool) {
 	d := pg.Data
 	lowered := false
 	var path inPath
@@ -410,13 +312,13 @@ func (t *DiskFirst) reorganizePage(pg buffer.Page) error {
 	return nil
 }
 
-// splitPage moves the upper half of the page's entries to a new page,
-// rebuilding both in-page trees (§3.1.2), and returns the separator and
-// new page ID.
-func (t *DiskFirst) splitPage(pg buffer.Page) (idx.Key, uint32, error) {
+// SplitPage implements pagetree.Layout: it moves the upper half of the
+// page's entries to a new page, rebuilding both in-page trees (§3.1.2),
+// and returns the separator and new page ID.
+func (t *DiskFirst) SplitPage(pg buffer.Page) (idx.Key, uint32, error) {
 	entries := t.collectEntries(pg.Data)
 	mid := len(entries) / 2
-	np, err := t.newPageWrite()
+	np, err := t.NewPageWrite()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -455,7 +357,7 @@ func (t *DiskFirst) splitPage(pg buffer.Page) (idx.Key, uint32, error) {
 		// still holding pg: a same-level, left-to-right acquisition
 		// permitted by the global latch order, and holding pg keeps a
 		// racing split of the new page from publishing first.
-		rp, err := t.getWrite(right)
+		rp, err := t.GetWrite(right)
 		if err != nil {
 			t.pool.Unpin(np, true)
 			return 0, 0, err
@@ -475,7 +377,7 @@ func (t *DiskFirst) Delete(k idx.Key) (bool, error) {
 	t.ops.Deletes.Add(1)
 	// Concurrent mode pins the leaf exclusively; the descent itself
 	// needs no write latches because lazy deletion never restructures.
-	pg, off, slot, found, err := t.findFirst(k, t.conc)
+	pg, off, slot, found, err := t.findFirst(k, t.Conc())
 	if err != nil || !found {
 		return false, err
 	}

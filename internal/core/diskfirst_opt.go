@@ -43,7 +43,7 @@ func (t *DiskFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st
 			tid, found, st = 0, false, buffer.OptRetry
 		}
 	}()
-	root, height := t.rootHeight()
+	root, height := t.RootHeight()
 	if root == 0 {
 		return 0, false, buffer.OptDone
 	}
@@ -132,7 +132,7 @@ func (t *DiskFirst) descendInPageOpt(d []byte, k idx.Key, lt bool) int {
 	return off
 }
 
-// inPageChildForOpt is inPageChildFor over an unvalidated optimistic
+// inPageChildForOpt is ChildFor over an unvalidated optimistic
 // snapshot (no charges, no visit stats).
 func (t *DiskFirst) inPageChildForOpt(d []byte, k idx.Key, lt bool) uint32 {
 	off := t.descendInPageOpt(d, k, lt)

@@ -13,17 +13,17 @@ import (
 // front — and prefetched in reverse consumption order.
 func (t *DiskFirst) RangeScanReverse(startKey, endKey idx.Key, fn func(idx.Key, idx.TupleID) bool) (int, error) {
 	t.ops.ReverseScans.Add(1)
-	root, height := t.rootHeight()
+	root, height := t.RootHeight()
 	if root == 0 || startKey > endKey {
 		return 0, nil
 	}
-	endLeaf, err := t.leafPageFor(root, height, endKey, false)
+	endLeaf, err := t.LeafFor(root, height, endKey, false)
 	if err != nil {
 		return 0, err
 	}
 	var pids []uint32
 	if t.jpa && height > 1 {
-		startLeaf, err := t.leafPageFor(root, height, startKey, true)
+		startLeaf, err := t.LeafFor(root, height, startKey, true)
 		if err != nil {
 			return 0, err
 		}
@@ -54,7 +54,7 @@ func (t *DiskFirst) RangeScanReverse(startKey, endKey idx.Key, fn func(idx.Key, 
 		if err != nil {
 			return count, err
 		}
-		t.touchHeader(pg)
+		t.TouchHeader(pg)
 		d := pg.Data
 		if t.jpa {
 			t.mm.Prefetch(pg.Addr+lineSize, (dfNextFree(d)-1)*lineSize)

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"repro/internal/buffer"
 	"repro/internal/idx"
 	"repro/internal/memsim"
 )
@@ -21,17 +18,17 @@ import (
 //     entries proceeds at pipelined- rather than full-miss latency.
 func (t *DiskFirst) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.TupleID) bool) (int, error) {
 	t.ops.Scans.Add(1)
-	root, height := t.rootHeight()
+	root, height := t.RootHeight()
 	if root == 0 || startKey > endKey {
 		return 0, nil
 	}
-	startLeaf, err := t.leafPageFor(root, height, startKey, true)
+	startLeaf, err := t.LeafFor(root, height, startKey, true)
 	if err != nil {
 		return 0, err
 	}
 	var pids []uint32
 	if t.jpa && height > 1 {
-		endLeaf, err := t.leafPageFor(root, height, endKey, false)
+		endLeaf, err := t.LeafFor(root, height, endKey, false)
 		if err != nil {
 			return 0, err
 		}
@@ -57,7 +54,7 @@ func (t *DiskFirst) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.Tup
 		if err != nil {
 			return count, err
 		}
-		t.touchHeader(pg)
+		t.TouchHeader(pg)
 		d := pg.Data
 		if t.jpa {
 			// Cache-granularity prefetch of the page's node region.
@@ -117,60 +114,6 @@ func (t *DiskFirst) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.Tup
 	return count, nil
 }
 
-// leafPageFor descends from the given (root, height) snapshot to the
-// leaf page for k (lt: strictly-less descent for scan starts). In
-// concurrent mode it latch-couples: the parent's shared latch is held
-// until the child page is pinned, strictly top-down.
-func (t *DiskFirst) leafPageFor(root uint32, height int, k idx.Key, lt bool) (uint32, error) {
-	if t.conc {
-		return t.leafPageForCoupled(root, height, k, lt)
-	}
-	pid := root
-	for lvl := height - 1; lvl > 0; lvl-- {
-		pg, err := t.pool.Get(pid)
-		if err != nil {
-			return 0, err
-		}
-		t.touchHeader(pg)
-		child := t.inPageChildFor(pg, k, lt)
-		t.pool.Unpin(pg, false)
-		if child == 0 {
-			return 0, fmt.Errorf("core: nil child during descent")
-		}
-		pid = child
-	}
-	return pid, nil
-}
-
-// leafPageForCoupled is leafPageFor under the latch protocol: each
-// child is pinned before the parent's latch drops, so the child
-// pointer just read cannot be restructured away mid-descent.
-func (t *DiskFirst) leafPageForCoupled(root uint32, height int, k idx.Key, lt bool) (uint32, error) {
-	pid := root
-	var parent buffer.Page
-	for lvl := height - 1; lvl > 0; lvl-- {
-		pg, err := t.pool.Get(pid)
-		if parent.Valid() {
-			t.pool.Unpin(parent, false)
-			parent = buffer.Page{}
-		}
-		if err != nil {
-			return 0, err
-		}
-		t.touchHeader(pg)
-		pid = t.inPageChildFor(pg, k, lt)
-		if pid == 0 {
-			t.pool.Unpin(pg, false)
-			return 0, fmt.Errorf("core: nil child during descent")
-		}
-		parent = pg
-	}
-	if parent.Valid() {
-		t.pool.Unpin(parent, false)
-	}
-	return pid, nil
-}
-
 // leafPagesBetween collects leaf page IDs from startLeaf through
 // endLeaf by walking the in-page leaf-node chains of the leaf-parent
 // pages (the I/O jump-pointer array).
@@ -181,8 +124,8 @@ func (t *DiskFirst) leafPagesBetween(root uint32, height int, startKey idx.Key, 
 		if err != nil {
 			return nil, err
 		}
-		t.touchHeader(pg)
-		child := t.inPageChildFor(pg, startKey, true)
+		t.TouchHeader(pg)
+		child := t.ChildFor(pg, startKey, true)
 		t.pool.Unpin(pg, false)
 		pid = child
 	}
@@ -194,7 +137,7 @@ func (t *DiskFirst) leafPagesBetween(root uint32, height int, startKey idx.Key, 
 			return nil, err
 		}
 		d := pg.Data
-		t.touchHeader(pg)
+		t.TouchHeader(pg)
 		for off := dfFirstLeaf(d); off != 0; off = t.lNext(d, off) {
 			t.mm.Access(pg.Addr+uint64(nodeBase(off)), dfLeafHdr)
 			cnt := t.lCount(d, off)
@@ -227,42 +170,4 @@ func (t *DiskFirst) leafPagesBetween(root uint32, height int, startKey idx.Key, 
 		pid = next
 	}
 	return pids, nil
-}
-
-// PageCount implements idx.Index.
-func (t *DiskFirst) PageCount() int {
-	root, height := t.rootHeight()
-	if root == 0 {
-		return 0
-	}
-	total := 0
-	pid := root
-	for lvl := height - 1; lvl >= 0; lvl-- {
-		var childFirst uint32
-		cur := pid
-		for cur != 0 {
-			pg, err := t.pool.Get(cur)
-			if err != nil {
-				return -1
-			}
-			if lvl > 0 && childFirst == 0 {
-				childFirst = t.pageFirstChild(pg.Data)
-			}
-			next := dfNextPage(pg.Data)
-			t.pool.Unpin(pg, false)
-			total++
-			cur = next
-		}
-		pid = childFirst
-	}
-	return total
-}
-
-func (t *DiskFirst) pageFirstChild(d []byte) uint32 {
-	for off := dfFirstLeaf(d); off != 0; off = t.lNext(d, off) {
-		if t.lCount(d, off) > 0 {
-			return t.lPtr(d, off, 0)
-		}
-	}
-	return 0
 }

@@ -1,75 +1,23 @@
 package core
 
-import (
-	"repro/internal/idx"
-)
+import "repro/internal/idx"
 
-// Scavenge implements idx.Index for the disk-first fpB+-Tree: rebuild
-// from the surviving leaf-page chain after permanent page loss or
-// detected corruption. The walk starts at the in-memory leftmost-leaf
-// pointer and salvages entries (in key order, via each page's in-page
-// leaf chain) until the chain ends or turns bad: an unreadable page, a
-// non-leaf page, an impossible entry count, a key regression, or a
-// chain longer than the allocated page set (loop guard). The old page
-// set is abandoned without recycling its IDs, and stale buffered copies
-// are discarded rather than flushed.
-func (t *DiskFirst) Scavenge() (idx.ScavengeStats, error) {
-	var st idx.ScavengeStats
-	var entries []idx.Entry
-	var lastKey idx.Key
-	have := false
-	maxLeaves := int(t.pool.MaxPageID())
-	pid := t.firstLeaf.Load()
-	for pid != 0 {
-		if st.LeavesRead >= maxLeaves {
-			st.Truncated = true
-			break
-		}
-		pg, err := t.pool.Get(pid)
-		if err != nil {
-			st.Truncated = true
-			break
-		}
-		d := pg.Data
-		if dfType(d) != dfPageLeaf || dfEntries(d) > t.fanout {
-			t.pool.Unpin(pg, false)
-			st.Truncated = true
-			break
-		}
-		bad := false
-		page := t.collectEntries(d)
-		if len(page) > t.fanout {
-			bad = true
-		} else {
-			for _, e := range page {
-				if have && e.key < lastKey {
-					bad = true
-					break
-				}
-				lastKey, have = e.key, true
-				entries = append(entries, idx.Entry{Key: e.key, TID: e.ptr})
-			}
-		}
-		next := dfNextPage(d)
-		t.pool.Unpin(pg, false)
-		st.LeavesRead++
-		if bad {
-			st.Truncated = true
-			break
-		}
-		pid = next
-	}
-	st.Entries = len(entries)
+// Scavenge implements idx.Index: pagetree salvages the surviving
+// leaf-page chain and Bulkload rebuilds the tree from it.
+func (t *DiskFirst) Scavenge() (idx.ScavengeStats, error) { return t.Tree.Scavenge(t.Bulkload) }
 
-	if err := t.pool.DiscardAll(); err != nil {
-		return st, err
+// SalvageLeaf implements pagetree.Layout: the page's entries in key
+// order, via its in-page leaf chain.
+func (t *DiskFirst) SalvageLeaf(d []byte, dst []idx.Entry) ([]idx.Entry, bool) {
+	if dfType(d) != dfPageLeaf || dfEntries(d) > t.fanout {
+		return dst, false
 	}
-	// Zeroing the root first makes Bulkload's freeAll a no-op, so the
-	// old (possibly unreadable) pages leak instead of being recycled.
-	t.meta.Store(0, 0, 0)
-	t.firstLeaf.Store(0)
-	if err := t.Bulkload(entries, idx.ScavengeFill); err != nil {
-		return st, err
+	page := t.collectEntries(d)
+	if len(page) > t.fanout {
+		return dst, false
 	}
-	return st, nil
+	for _, e := range page {
+		dst = append(dst, idx.Entry{Key: e.key, TID: e.ptr})
+	}
+	return dst, true
 }

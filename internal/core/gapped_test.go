@@ -161,7 +161,7 @@ func TestGappedSearchEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rootPID, height := tr.rootHeight()
+		rootPID, height := tr.RootHeight()
 		if height != 1 {
 			t.Fatalf("tree has %d page levels, want 1", height)
 		}

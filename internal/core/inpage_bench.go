@@ -98,7 +98,7 @@ func BenchInPageSearch(leafBytes, iters int) ([]InPageBenchResult, error) {
 		return nil, err
 	}
 	mm.SetConcurrent(true)
-	rootPID, height := tr.rootHeight()
+	rootPID, height := tr.RootHeight()
 	if height != 1 {
 		return nil, fmt.Errorf("core: in-page bench tree has %d page levels, want 1", height)
 	}

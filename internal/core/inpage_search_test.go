@@ -101,7 +101,7 @@ func TestBranchlessSearchEquivalenceDiskFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rootPID, _ := tr.rootHeight()
+	rootPID, _ := tr.RootHeight()
 	pg, err := tr.pool.Get(rootPID)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func benchLeafSearch(b *testing.B, impl string) {
 		b.Fatal(err)
 	}
 	env.Model.SetConcurrent(true)
-	rootPID, _ := tr.rootHeight()
+	rootPID, _ := tr.RootHeight()
 	pg, err := tr.pool.Get(rootPID)
 	if err != nil {
 		b.Fatal(err)

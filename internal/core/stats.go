@@ -9,39 +9,19 @@ type SpaceStats = idx.SpaceStats
 // SpaceStats walks the tree and reports page usage.
 func (t *DiskFirst) SpaceStats() (SpaceStats, error) {
 	var st SpaceStats
-	root, height := t.rootHeight()
-	if root == 0 {
-		return st, nil
-	}
-	pid := root
-	for lvl := height - 1; lvl >= 0; lvl-- {
-		var childFirst uint32
-		cur := pid
-		for cur != 0 {
-			pg, err := t.pool.Get(cur)
-			if err != nil {
-				return st, err
-			}
-			st.Pages++
-			if lvl == 0 {
-				st.LeafPages++
-				st.Entries += dfEntries(pg.Data)
-			} else {
-				st.NodePages++
-				if childFirst == 0 {
-					childFirst = t.pageFirstChild(pg.Data)
-				}
-			}
-			next := dfNextPage(pg.Data)
-			t.pool.Unpin(pg, false)
-			cur = next
+	err := t.Walk(func(lvl int, d []byte) {
+		st.Pages++
+		if lvl == 0 {
+			st.LeafPages++
+			st.Entries += dfEntries(d)
+		} else {
+			st.NodePages++
 		}
-		pid = childFirst
-	}
+	})
 	if st.LeafPages > 0 {
 		st.Utilization = float64(st.Entries) / float64(st.LeafPages*t.fanout)
 	}
-	return st, nil
+	return st, err
 }
 
 // SpaceStats reports page usage from the cache-first space map. The

@@ -1,0 +1,82 @@
+package pagetree
+
+import "repro/internal/idx"
+
+// SearchBatch looks up keys, appending one result per key to out. The
+// batch is sorted and descended level-wise: keys landing in the same
+// page share a single buffer-pool Get (and the page-header cache
+// traffic), and the next level's distinct pages are prefetched before
+// the descent, so a batch costs one pin per distinct page per level
+// instead of one per key. The in-page search is still charged per key.
+func (t *Tree) SearchBatch(keys []idx.Key, out []idx.SearchResult) ([]idx.SearchResult, error) {
+	base := len(out)
+	out = idx.GrowResults(out, len(keys))
+	root, height := t.RootHeight()
+	if root == 0 || len(keys) == 0 {
+		return out, nil
+	}
+	// The tree's own scratch sequentially (deterministic 0-alloc warm
+	// path), a sync.Pool draw in concurrent mode so simultaneous
+	// read-only batches never share state.
+	s := &t.batch
+	if t.conc {
+		s = idx.GetScratch()
+		defer idx.PutScratch(s)
+	}
+	s.Prepare(keys)
+	n := len(keys)
+	for i := 0; i < n; i++ {
+		s.Cur[i] = root
+	}
+
+	// Page-level descent: one Get per distinct page per level.
+	for lvl := height - 1; lvl > 0; lvl-- {
+		for i := 0; i < n; {
+			pid := s.Cur[i]
+			pg, err := t.pool.Get(pid)
+			if err != nil {
+				return out, err
+			}
+			t.lay.TouchHeader(pg)
+			j := i
+			for ; j < n && s.Cur[j] == pid; j++ {
+				child := t.lay.ChildFor(pg, keys[s.Ord[j]], true)
+				if child == 0 {
+					t.pool.Unpin(pg, false)
+					return out, errNilChild
+				}
+				s.Next[j] = child
+			}
+			t.pool.Unpin(pg, false)
+			i = j
+		}
+		s.SwapLevels()
+		if err := t.pool.PrefetchRun(s.Cur); err != nil {
+			return out, err
+		}
+	}
+
+	// Leaf phase: resolve each key from its landing page, replicating
+	// the per-key lookup walk (duplicate runs may span pages).
+	for i := 0; i < n; {
+		pid := s.Cur[i]
+		pg, err := t.pool.Get(pid)
+		if err != nil {
+			return out, err
+		}
+		t.lay.TouchHeader(pg)
+		j := i
+		for ; j < n && s.Cur[j] == pid; j++ {
+			ki := s.Ord[j]
+			tid, found, err := t.lay.ResolveLeaf(pg, keys[ki])
+			if err != nil {
+				t.pool.Unpin(pg, false)
+				return out, err
+			}
+			out[base+int(ki)] = idx.SearchResult{TID: tid, Found: found}
+		}
+		t.pool.Unpin(pg, false)
+		i = j
+	}
+	return out, nil
+}

@@ -7,11 +7,10 @@ import (
 )
 
 // optimisticMatrixCell is one conformance configuration: variant ×
-// leaf layout × read protocol.
+// leaf layout.
 type optimisticMatrixCell struct {
 	variant Variant
 	gapped  bool
-	pess    bool
 }
 
 func (c optimisticMatrixCell) name() string {
@@ -19,31 +18,24 @@ func (c optimisticMatrixCell) name() string {
 	if c.gapped {
 		n += "/gapped"
 	}
-	if c.pess {
-		n += "/pessimistic"
-	} else {
-		n += "/optimistic"
-	}
-	return n
+	return n + "/optimistic"
 }
 
 // TestOptimisticConformanceMatrix runs the mixed reader/crabbing-writer
-// stress over every variant with the optimistic read path requested
-// (the serving-mode default) — including the gapped leaf layout where
-// supported — plus one pessimistic control cell, and checks the final
-// tree differentially against the exact reference model with zero pin
-// leaks. Under -race the optimistic path disables itself (seqlock reads
-// are intentional data races), so this matrix then verifies that the
-// option wiring degrades to the latched path without behavior change.
+// stress over every variant in serving mode, where point lookups take
+// the optimistic read path — including the gapped leaf layout where
+// supported — and checks the final tree differentially against the
+// exact reference model with zero pin leaks. Under -race the optimistic
+// path disables itself (seqlock reads are intentional data races), so
+// this matrix then exercises the latched fallback descent instead.
 func TestOptimisticConformanceMatrix(t *testing.T) {
 	cells := []optimisticMatrixCell{
-		{DiskFirst, false, false},
-		{DiskFirst, true, false},
-		{CacheFirst, false, false},
-		{CacheFirst, true, false},
-		{DiskOptimized, false, false},
-		{MicroIndex, false, false},
-		{DiskFirst, false, true}, // pessimistic control
+		{DiskFirst, false},
+		{DiskFirst, true},
+		{CacheFirst, false},
+		{CacheFirst, true},
+		{DiskOptimized, false},
+		{MicroIndex, false},
 	}
 	for _, c := range cells {
 		c := c
@@ -54,13 +46,9 @@ func TestOptimisticConformanceMatrix(t *testing.T) {
 				WithConcurrency(4),
 				WithPageSize(4 << 10),
 				WithBufferPages(512),
-				WithOptimisticReads(),
 			}
 			if c.gapped {
 				opts = append(opts, WithGappedLeaves())
-			}
-			if c.pess {
-				opts = append(opts, WithPessimisticReads())
 			}
 			runOptimisticStress(t, opts)
 		})
