@@ -53,9 +53,13 @@ type throughputEntry struct {
 	// Latch-protocol counters from the cell's metrics snapshot, so a
 	// report shows whether the optimistic read path actually ran
 	// latch-free (readonly ⇒ shared acquisitions and locked gets stay at
-	// their bulkload/warmup baseline) and how contended it was.
+	// their bulkload/warmup baseline), how contended it was, and what
+	// share of the writes still serialized (fallbacks over the sum of the
+	// two write counters).
 	OptRestarts    uint64 `json:"opt_restarts"`
 	OptFallbacks   uint64 `json:"opt_fallbacks"`
+	OptWrites      uint64 `json:"opt_writes"`
+	OptWriteFalls  uint64 `json:"opt_write_fallbacks"`
 	SharedLatches  uint64 `json:"shared_latch_acquisitions"`
 	PoolLockedGets uint64 `json:"pool_locked_gets"`
 }
@@ -225,6 +229,8 @@ func runThroughput(wl string, threads, keys int, dur time.Duration, fileStore bo
 		P99Nanos:       hist.Quantile(0.99),
 		OptRestarts:    snap.Counters["latch.opt_restarts"],
 		OptFallbacks:   snap.Counters["latch.opt_fallbacks"],
+		OptWrites:      snap.Counters["latch.opt_writes"],
+		OptWriteFalls:  snap.Counters["latch.opt_write_fallbacks"],
 		SharedLatches:  snap.Counters["latch.shared_acquisitions"],
 		PoolLockedGets: snap.Counters["pool.shard.locked_gets"],
 	}, nil

@@ -650,9 +650,10 @@ func (t *Tree) SearchBatchInto(keys []Key, out []SearchResult) ([]SearchResult, 
 
 // Insert adds an entry.
 //
-// Locking: none at the tree level; concurrent-mode writers crab
-// exclusive page latches, holding ancestors only while a child could
-// split (the cache-first variant serializes its writers internally).
+// Locking: none at the tree level; a concurrent-mode writer descends
+// latch-free and latches the one leaf page it changes. Only an insert
+// that may split a page crabs exclusive latches down, holding ancestors
+// while a child could split (cache-first serializes those internally).
 func (t *Tree) Insert(key Key, tid TupleID) error {
 	c0, u0 := t.opBegin()
 	err := t.index.Insert(key, tid)
@@ -662,8 +663,9 @@ func (t *Tree) Insert(key Key, tid TupleID) error {
 
 // Delete removes one entry with the given key (lazy deletion).
 //
-// Locking: none at the tree level; concurrent-mode deleters take the
-// leaf's exclusive latch (lazy deletion never restructures).
+// Locking: none at the tree level; concurrent-mode deleters descend
+// latch-free and take the leaf's exclusive latch (lazy deletion never
+// restructures).
 func (t *Tree) Delete(key Key) (bool, error) {
 	c0, u0 := t.opBegin()
 	ok, err := t.index.Delete(key)

@@ -117,11 +117,6 @@ type Tree struct {
 	subsMax    int // micro-index slots
 	subLines   int // cache lines per sub-array
 
-	// opt enables the optimistic (version-validated, latch-free) read
-	// descent (DESIGN.md §11.6): a latched pool in a build without the
-	// race detector.
-	opt bool
-
 	jpa      bool
 	pfWindow int
 
@@ -142,7 +137,6 @@ func New(cfg Config) (*Tree, error) {
 		pool:     cfg.Pool,
 		mm:       cfg.Model,
 		pageSize: cfg.Pool.PageSize(),
-		opt:      cfg.Pool.OptSupported(),
 		jpa:      cfg.EnableJPA,
 		pfWindow: w,
 		tr:       cfg.Trace,
@@ -150,7 +144,7 @@ func New(cfg Config) (*Tree, error) {
 	if err := t.setLayout(cfg.MicroIndex, cfg.SubarrayBytes); err != nil {
 		return nil, err
 	}
-	t.Init(cfg.Pool, t)
+	t.Init(cfg.Pool, t, cfg.Model)
 	return t, nil
 }
 

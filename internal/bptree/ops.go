@@ -141,27 +141,22 @@ func (t *Tree) Search(k idx.Key) (idx.TupleID, bool, error) {
 
 // findFirst locates the first entry with key == k, returning its pinned
 // page and slot (the caller unpins), or found=false. With excl the leaf
-// pages are pinned exclusively (concurrent Delete mutates in place);
-// the walk holds at most one leaf latch at a time, moving rightward.
+// pages are pinned exclusively (concurrent Delete mutates in place) and
+// the walk starts, whenever it can, from the page a latch-free descent
+// latched (pagetree.StartLeafFor); it holds at most one leaf latch at a
+// time, moving rightward.
 func (t *Tree) findFirst(k idx.Key, excl bool) (buffer.Page, int, bool, error) {
-	root, height := t.RootHeight()
-	if root == 0 {
-		return buffer.Page{}, 0, false, nil
-	}
-	pid, err := t.LeafFor(root, height, k, true)
-	if err != nil {
-		return buffer.Page{}, 0, false, err
-	}
-	for pid != 0 {
-		var pg buffer.Page
-		var err error
-		if excl {
-			pg, err = t.pool.GetX(pid)
-		} else {
-			pg, err = t.pool.Get(pid)
-		}
-		if err != nil {
-			return buffer.Page{}, 0, false, err
+	pg, pid, err := t.StartLeafFor(k, excl)
+	for ; pid != 0 && err == nil; pg = (buffer.Page{}) {
+		if !pg.Valid() {
+			if excl {
+				pg, err = t.pool.GetX(pid)
+			} else {
+				pg, err = t.pool.Get(pid)
+			}
+			if err != nil {
+				break
+			}
 		}
 		t.TouchHeader(pg)
 		slot, _ := t.searchPage(pg, k, true)
@@ -181,7 +176,7 @@ func (t *Tree) findFirst(k idx.Key, excl bool) (buffer.Page, int, bool, error) {
 		t.pool.Unpin(pg, false)
 		pid = next
 	}
-	return buffer.Page{}, 0, false, nil
+	return buffer.Page{}, 0, false, err
 }
 
 // Insert implements idx.Index.
@@ -197,6 +192,16 @@ func (t *Tree) ChildFor(pg buffer.Page, k idx.Key, lt bool) uint32 {
 		slot = 0
 	}
 	return t.readPtr(pg, slot)
+}
+
+// ChildForOpt implements pagetree.Layout.
+func (t *Tree) ChildForOpt(d []byte, k idx.Key, lt bool) (uint32, bool) {
+	slot, _ := t.searchPage(buffer.Page{Data: d}, k, lt)
+	below := slot < 0
+	if below {
+		slot = 0
+	}
+	return t.ptr(d, slot), below
 }
 
 // ChildForInsert implements pagetree.Layout.
@@ -322,7 +327,8 @@ func (t *Tree) SplitPage(pg buffer.Page) (idx.Key, uint32, error) {
 func (t *Tree) Delete(k idx.Key) (bool, error) {
 	t.ops.Deletes.Add(1)
 	// Concurrent mode pins the leaf exclusively; the descent itself
-	// needs no write latches because lazy deletion never restructures.
+	// needs no write latches — none at all when it runs latch-free —
+	// because lazy deletion never restructures.
 	pg, slot, found, err := t.findFirst(k, t.Conc())
 	if err != nil || !found {
 		return false, err

@@ -1,11 +1,11 @@
 package bptree
 
-// Optimistic (latch-free) point-lookup descent, mirroring the
-// disk-first variant's protocol (DESIGN.md §11.6): resolve each page
-// with buffer.ReadOpt, search its bytes with plain loads (searchPage,
-// whichever the layout), and validate the page's latch version before
-// trusting any pointer derived from them. Restarts are bounded
-// (buffer.SearchOpt); the latched findFirst path remains the fallback.
+// Optimistic (latch-free) point lookup (DESIGN.md §11.6): the descent
+// is pagetree.LeafForOpt; the leaf-chain walk below resolves each page
+// with buffer.ReadOpt, searches its bytes with plain loads (searchPage,
+// whichever the layout), and validates before trusting anything derived
+// from them. Restarts are bounded (buffer.SearchOpt); the latched
+// findFirst path remains the fallback.
 
 import (
 	"repro/internal/buffer"
@@ -16,14 +16,15 @@ import (
 // optimistic path is unavailable, met a non-resident page or exhausted
 // its restart budget, and the caller must run the latched descent.
 func (t *Tree) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool) {
-	if !t.opt || !t.mm.Concurrent() {
+	if !t.Opt() {
 		return 0, false, false
 	}
 	return t.pool.SearchOpt(k, t.searchOptAttempt)
 }
 
 // searchOptAttempt is one latch-free descent attempt; results are only
-// meaningful when st is buffer.OptDone.
+// meaningful when st is buffer.OptDone. via is the view pid was read
+// from, validated once pid's page has been sampled (LeafForOpt).
 func (t *Tree) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st buffer.OptStatus) {
 	// A torn count can send the in-page search past the page before
 	// validation rejects it; turn the bounds panic into a restart.
@@ -32,30 +33,15 @@ func (t *Tree) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st buff
 			tid, found, st = 0, false, buffer.OptRetry
 		}
 	}()
-	root, height := t.RootHeight()
-	if root == 0 {
-		return 0, false, buffer.OptDone
-	}
-	pid := root
-	for lvl := height - 1; lvl > 0; lvl-- {
-		pg, okr := t.pool.ReadOpt(pid)
-		if !okr {
-			return 0, false, pg.Miss()
-		}
-		slot, _ := t.searchPage(buffer.Page{Data: pg.Data}, k, true)
-		if slot < 0 {
-			slot = 0
-		}
-		child := t.ptr(pg.Data, slot)
-		// Validate before following child: an unvalidated pointer may
-		// come from a torn read or a mid-split page image.
-		if !t.pool.ValidateOpt(pg) || child == 0 {
-			return 0, false, buffer.OptRetry
-		}
-		pid = child
+	pid, via, _, st := t.LeafForOpt(k, true)
+	if st != buffer.OptDone {
+		return 0, false, st
 	}
 	for pid != 0 {
 		pg, okr := t.pool.ReadOpt(pid)
+		if via.Valid() && !t.pool.ValidateOpt(via) {
+			return 0, false, buffer.OptRetry
+		}
 		if !okr {
 			return 0, false, pg.Miss()
 		}
@@ -71,13 +57,11 @@ func (t *Tree) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st buff
 			return tid, key == k, buffer.OptDone
 		}
 		// Every entry here is < k (or the page is empty); the run may
-		// start in the next page. Validate the next pointer before
-		// following it.
-		next := pNext(d)
-		if !t.pool.ValidateOpt(pg) {
-			return 0, false, buffer.OptRetry
-		}
-		pid = next
+		// start in the next page.
+		pid, via = pNext(d), pg
+	}
+	if via.Valid() && !t.pool.ValidateOpt(via) {
+		return 0, false, buffer.OptRetry
 	}
 	return 0, false, buffer.OptDone
 }

@@ -47,6 +47,50 @@ func TestClockSecondChance(t *testing.T) {
 	}
 }
 
+// TestClockSecondChanceForOptimisticReads: ReadOpt pins nothing, so it
+// must set the reference bit itself — a page touched only latch-free
+// survives the sweep that evicts its untouched neighbour.
+func TestClockSecondChanceForOptimisticReads(t *testing.T) {
+	p := NewConcurrentPool(NewMemStore(4096), 3, 1)
+	if !p.OptSupported() {
+		t.Skip("optimistic reads are compiled out under the race detector")
+	}
+	var pids []uint32
+	for i := 0; i < 3; i++ {
+		pg, err := p.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids = append(pids, pg.ID)
+		p.Unpin(pg, true)
+	}
+	// The first allocation's sweep clears every bit and evicts pids[0].
+	d, err := p.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(d, true)
+	if p.Contains(pids[0]) {
+		t.Fatal("expected the first page to be evicted by the sweep")
+	}
+	// The hand now rests on pids[1], bit clear: it is the next victim
+	// unless the latch-free read below counts as a reference.
+	if _, ok := p.ReadOpt(pids[1]); !ok {
+		t.Fatal("ReadOpt of a resident, unlatched page failed")
+	}
+	e, err := p.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(e, true)
+	if !p.Contains(pids[1]) {
+		t.Fatal("page read only through ReadOpt was evicted as if cold")
+	}
+	if p.Contains(pids[2]) {
+		t.Fatal("untouched page should have been evicted")
+	}
+}
+
 // TestClockRotation: allocations cycle through all unpinned frames
 // rather than thrashing one.
 func TestClockRotation(t *testing.T) {

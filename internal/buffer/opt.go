@@ -152,6 +152,12 @@ func (p *Pool) ReadOpt(pid uint32) (OptPage, bool) {
 	if !ok {
 		return OptPage{}, false
 	}
+	// CLOCK sees pins; this read takes none. Without the reference bit a
+	// page served only latch-free would be evicted like a cold one. The
+	// store runs once per sweep, so the steady state stays store-free.
+	if !f.ref.Load() {
+		f.ref.Store(true)
+	}
 	return OptPage{ID: pid, Data: f.data, f: f, fst: st &^ framePinMask, ver: ver}, true
 }
 
@@ -164,4 +170,28 @@ func (p *Pool) ReadOpt(pid uint32) (OptPage, bool) {
 // On false the caller must discard all derived state and restart.
 func (p *Pool) ValidateOpt(pg OptPage) bool {
 	return p.latches.Validate(pg.ID, pg.ver) && pg.f.state.Load()&^framePinMask == pg.fst
+}
+
+// GetXOpt is the one latch of a leaf-only write (DESIGN.md §11.6): pid
+// was read from via by a latch-free descent; latch it exclusively and
+// then validate via, so that the page returned (pinned; the caller
+// unpins) is still the one via routes to and can no longer change.
+// ok=false — pid is not resident (reading it in is the structural
+// path's business), or via went stale — leaves nothing held. A page
+// another writer holds is simply waited for: sampling it first is for
+// residency alone. The caller holds no other latch, so the wait cannot
+// be part of a cycle.
+func (p *Pool) GetXOpt(pid uint32, via OptPage) (Page, bool) {
+	if lp, ok := p.ReadOpt(pid); !ok && lp.Miss() == OptAbsent {
+		return Page{}, false
+	}
+	pg, err := p.GetX(pid)
+	if err != nil {
+		return Page{}, false // the structural path meets it again and reports it
+	}
+	if !p.ValidateOpt(via) {
+		p.Unpin(pg, false)
+		return Page{}, false
+	}
+	return pg, true
 }

@@ -128,17 +128,18 @@ type CacheFirst struct {
 	// Concurrent (serving) mode. Aggressive placement relocates nodes
 	// between pages during splits (the Figure 9 maneuvers), and the set
 	// of pages a split touches is discovered while it mutates — which
-	// rules out strict top-down crabbing. Instead, writers serialize on
-	// wMu but take exclusive page latches on every page they touch, so
-	// they never block readers outside those pages; readers run fully in
-	// parallel, holding one shared page latch at a time and validating
-	// the relocation epoch at every page transition (stale → restart).
+	// rules out strict top-down crabbing. Instead, structural writers
+	// serialize on wMu but take exclusive page latches on every page they
+	// touch, so they never block readers outside those pages; a write to
+	// one leaf node takes neither (cachefirst_leafwrite.go); readers run
+	// in parallel, latch-free or holding one shared page latch at a time,
+	// validating the relocation epoch at every page transition.
 	// See DESIGN.md §11.
 	conc bool
-	// opt enables the optimistic (version-validated, latch-free) read
-	// descent; requires conc and a non-race build (pool.OptSupported).
+	// opt enables the optimistic (version-validated, latch-free) descent;
+	// requires conc and a non-race build (pool.OptSupported).
 	opt     bool
-	wMu     sync.Mutex    // serializes writers (Insert/Delete) with each other
+	wMu     sync.Mutex    // serializes structural writers with each other
 	pagesMu sync.Mutex    // guards the pages map (space map)
 	jpaMu   sync.RWMutex  // guards the (not thread-safe) jump-pointer array
 	reloc   atomic.Uint64 // node-relocation epoch; odd while a split runs

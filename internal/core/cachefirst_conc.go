@@ -133,13 +133,17 @@ func (t *CacheFirst) findFirstConc(k idx.Key) (buffer.Page, ptr, int, bool, erro
 	}
 }
 
-// deleteConc is the writer-side Delete: it serializes on wMu like
-// Insert and repeats findFirst's walk with exclusive latches (latch
-// coupling is safe for the single writer — readers never hold-and-wait,
-// so it cannot be part of a cycle).
+// deleteConc is the writer-side Delete: leaf-only when one leaf page
+// decides the answer; otherwise it serializes on wMu like Insert and
+// repeats findFirst's walk with exclusive latches (coupling is safe for
+// the single wMu writer — nobody else holds-and-waits).
 func (t *CacheFirst) deleteConc(k idx.Key) (bool, error) {
-	t.wMu.Lock()
+	if found, done := t.deleteLeafOpt(k); done {
+		return found, nil
+	}
+	latch.SpinLock(&t.wMu)
 	defer t.wMu.Unlock()
+	t.pool.Latches().OptWriteFallback()
 	root, height := t.rootPtrHeight()
 	if root.isNil() {
 		return false, nil
@@ -182,22 +186,34 @@ func (t *CacheFirst) deleteConc(k idx.Key) (bool, error) {
 			t.pool.Unpin(pg, false)
 		}
 		pg = npg
-		t.visitNode(pg, cur.off)
-		slot, _ := t.searchNode(pg, cur.off, k, true)
-		slot = t.cNextOccupied(pg.Data, cur.off, slot+1)
-		if slot >= 0 {
-			t.mm.Access(pg.Addr+uint64(t.cKeyPos(cur.off, slot)), 4)
-			if t.cKey(pg.Data, cur.off, slot) == k {
-				t.deleteAt(pg, cur, slot)
-				return true, nil
-			}
-			t.pool.Unpin(pg, false)
-			return false, nil
+		found, decided, next := t.deleteInPage(pg, cur, k)
+		if decided {
+			return found, nil
 		}
-		cur = t.cNextLeaf(pg.Data, cur.off)
+		cur = next
 	}
 	release()
 	return false, nil
+}
+
+// deleteInPage walks the leaf-node chain inside the exclusively latched
+// pg from cur to the first entry >= k, removes it if it equals k and
+// unpins the page. decided=false leaves pg pinned: the run may start at
+// next, in another page (nil: the chain ends, k is absent).
+func (t *CacheFirst) deleteInPage(pg buffer.Page, cur ptr, k idx.Key) (found, decided bool, next ptr) {
+	for ; cur.pid == pg.ID; cur = t.cNextLeaf(pg.Data, cur.off) {
+		t.visitNode(pg, cur.off)
+		slot, _ := t.searchNode(pg, cur.off, k, true)
+		if slot = t.cNextOccupied(pg.Data, cur.off, slot+1); slot >= 0 {
+			if found = t.cKey(pg.Data, cur.off, slot) == k; found {
+				t.deleteAt(pg, cur, slot)
+			} else {
+				t.pool.Unpin(pg, false)
+			}
+			return found, true, nilPtr
+		}
+	}
+	return false, false, cur
 }
 
 // rangeScanConc delivers [startKey, endKey] under the one-latch

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/idx"
+	"repro/internal/latch"
 )
 
 // Search implements idx.Index. The descent follows full ⟨page, offset⟩
@@ -88,11 +89,15 @@ func (t *CacheFirst) Insert(k idx.Key, tid idx.TupleID) error {
 		return fmt.Errorf("core: key %#x is reserved as the gap sentinel under GappedLeaves", uint32(k))
 	}
 	if t.conc {
-		// Writers serialize with each other (never with readers) and
-		// take exclusive latches on every page they touch; see the
-		// concurrency note on the struct.
-		t.wMu.Lock()
+		if t.insertLeafOpt(k, tid) {
+			return nil
+		}
+		// Structural writers serialize with each other (never with
+		// readers or leaf-only writers); see the note on the struct. The
+		// holder is done in microseconds: spin before parking.
+		latch.SpinLock(&t.wMu)
 		defer t.wMu.Unlock()
+		t.pool.Latches().OptWriteFallback()
 	}
 	if root, _ := t.rootPtrHeight(); root.isNil() {
 		pg, err := t.newPage(cfPageLeaf)
@@ -135,23 +140,30 @@ func (t *CacheFirst) insertOnce(k idx.Key, tid idx.TupleID) (bool, error) {
 	}
 
 	cur, height := t.rootPtrHeight()
+	// pg is the page the descent holds; dirty, whether it wrote it. A
+	// page only routed through is unpinned clean and not redo-logged.
 	var pg buffer.Page
+	dirty := false
 	release := func() {
 		if pg.Valid() {
-			t.pool.Unpin(pg, true)
+			t.pool.Unpin(pg, dirty)
 			pg = buffer.Page{}
 		}
 	}
-	for lvl := height - 1; lvl > 0; lvl-- {
-		npg, pinned, err := t.getPageW(pg, cur.pid)
-		if err != nil {
+	// step moves the descent to pid, releasing pg unless pid is pg.
+	step := func(pid uint32) error {
+		npg, pinned, err := t.getPageW(pg, pid)
+		if pinned || err != nil {
 			release()
+			dirty = false
+		}
+		pg = npg // the zero page on an error
+		return err
+	}
+	for lvl := height - 1; lvl > 0; lvl-- {
+		if err := step(cur.pid); err != nil {
 			return false, err
 		}
-		if pinned && pg.Valid() {
-			t.pool.Unpin(pg, true)
-		}
-		pg = npg
 		t.visitNode(pg, cur.off)
 		slot, _ := t.searchNode(pg, cur.off, k, false)
 		if slot < 0 {
@@ -159,6 +171,7 @@ func (t *CacheFirst) insertOnce(k idx.Key, tid idx.TupleID) (bool, error) {
 			if t.cKey(pg.Data, cur.off, 0) > k {
 				t.cSetKey(pg.Data, cur.off, 0, k)
 				t.mm.Access(pg.Addr+uint64(t.cKeyPos(cur.off, 0)), 4)
+				dirty = true
 			}
 		}
 		child := t.cChild(pg.Data, cur.off, slot)
@@ -170,6 +183,9 @@ func (t *CacheFirst) insertOnce(k idx.Key, tid idx.TupleID) (bool, error) {
 			return false, err
 		}
 		if full {
+			// The split installs a separator here, and a page split under
+			// it writes this page again as one of its held pages (pinW).
+			dirty = true
 			sep, right, restart, err := t.splitChild(pg, cur, slot, cpg, child, lvl-1)
 			if cpg.Valid() && cpg.ID != pg.ID {
 				t.pool.Unpin(cpg, true)
@@ -187,15 +203,17 @@ func (t *CacheFirst) insertOnce(k idx.Key, tid idx.TupleID) (bool, error) {
 		cur = child
 	}
 
-	npg, pinned, err := t.getPageW(pg, cur.pid)
-	if err != nil {
-		release()
+	if err := step(cur.pid); err != nil {
 		return false, err
 	}
-	if pinned && pg.Valid() {
-		t.pool.Unpin(pg, true)
+	if t.cCount(pg.Data, cur.off) >= t.leafSplitAt() {
+		// leafInsert would write past a full node's arrays. Leaf-only
+		// writers fill nodes without wMu; the latch held on the parent's
+		// page since childFull fails their validation, and this re-check
+		// keeps the guarantee local to the page being written.
+		release()
+		return true, nil
 	}
-	pg = npg
 	t.visitNode(pg, cur.off)
 	t.leafInsert(pg, cur.off, k, tid)
 	t.pool.Unpin(pg, true)

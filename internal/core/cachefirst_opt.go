@@ -42,47 +42,26 @@ func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, s
 		// A relocation is in flight; let the restart loop back off.
 		return 0, false, buffer.OptRetry
 	}
-	root, height := t.rootPtrHeight()
-	if root.isNil() {
-		return 0, false, buffer.OptDone
-	}
-	pg, okr := t.readOptPage(root.pid, e)
-	if !okr {
-		return 0, false, pg.Miss()
-	}
-	cur := root
-	for lvl := height - 1; lvl > 0; lvl-- {
-		prefetchNode(t.mm, buffer.Page{Data: pg.Data}, cur.off, t.s)
-		slot, _ := t.searchNode(buffer.Page{Data: pg.Data}, cur.off, k, true)
-		if slot < 0 {
-			slot = 0
-		}
-		child := t.cChild(pg.Data, cur.off, slot)
-		// Validate before following the ⟨pid, off⟩ pair anywhere — even
-		// within the same page, a torn read could fabricate the offset.
-		if !t.pool.ValidateOpt(pg) || child.isNil() {
-			return 0, false, buffer.OptRetry
-		}
-		if child.pid != pg.ID {
-			if pg, okr = t.readOptPage(child.pid, e); !okr {
-				return 0, false, pg.Miss()
-			}
-		}
-		cur = child
-	}
-	if cur.isNil() {
-		return 0, false, buffer.OptDone
+	cur, pg, _, st := t.leafNodeForOpt(k, true, e)
+	if st != buffer.OptDone {
+		return 0, false, st
 	}
 	// Forward walk over the leaf-node chain for the first entry == k.
-	// The per-page hop bound mirrors the disk-first walk: a torn chain
-	// could cycle without ever faulting into the recover above.
+	// pg is the view cur was read from — the leaf's parent, then each
+	// leaf page — validated once cur's own page has been sampled. The
+	// per-page hop bound mirrors the disk-first walk: a torn chain could
+	// cycle without ever faulting into the recover above.
 	hops := 0
 	for !cur.isNil() {
 		if cur.pid != pg.ID {
-			if pg, okr = t.readOptPage(cur.pid, e); !okr {
-				return 0, false, pg.Miss()
+			npg, okr := t.readOptPage(cur.pid, e)
+			if pg.Valid() && !t.pool.ValidateOpt(pg) {
+				return 0, false, buffer.OptRetry
 			}
-			hops = 0
+			if !okr {
+				return 0, false, npg.Miss()
+			}
+			pg, hops = npg, 0
 		} else if hops++; hops > t.pageLines {
 			return 0, false, buffer.OptRetry
 		}
@@ -104,6 +83,56 @@ func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, s
 		cur = next
 	}
 	return 0, false, buffer.OptDone
+}
+
+// leafNodeForOpt is the latch-free, version-coupled descent to the leaf
+// node for k of lookups and leaf-only writers — pagetree.LeafForOpt over
+// ⟨pid, off⟩ nodes, under the even relocation epoch e. via is the
+// unvalidated view of the page holding the leaf's parent node, checked
+// by the caller once it has sampled or latched the leaf's page (the
+// zero view when the root is the leaf; leaf nil on an empty tree). The
+// caller recovers a torn offset's bounds panic as a retry.
+func (t *CacheFirst) leafNodeForOpt(k idx.Key, lt bool, e uint64) (leaf ptr, via buffer.OptPage, below bool, st buffer.OptStatus) {
+	root, height := t.rootPtrHeight()
+	if height <= 1 {
+		return root, buffer.OptPage{}, false, buffer.OptDone
+	}
+	pg, okr := t.readOptPage(root.pid, e)
+	if !okr {
+		return nilPtr, buffer.OptPage{}, false, pg.Miss()
+	}
+	if r, h := t.rootPtrHeight(); r != root || h != height {
+		return nilPtr, buffer.OptPage{}, false, buffer.OptRetry
+	}
+	cur := root
+	for lvl := height - 1; ; lvl-- {
+		prefetchNode(t.mm, buffer.Page{Data: pg.Data}, cur.off, t.s)
+		slot, _ := t.searchNode(buffer.Page{Data: pg.Data}, cur.off, k, lt)
+		if slot < 0 {
+			slot, below = 0, true
+		}
+		child := t.cChild(pg.Data, cur.off, slot)
+		if lvl == 1 {
+			if child.isNil() {
+				// No consistent leaf parent has a nil child: a torn read.
+				return nilPtr, buffer.OptPage{}, false, buffer.OptRetry
+			}
+			return child, pg, below, buffer.OptDone
+		}
+		npg := pg
+		if child.pid != pg.ID {
+			npg, okr = t.readOptPage(child.pid, e)
+		}
+		// Validate before following the ⟨pid, off⟩ pair anywhere — even
+		// within the same page, a torn read could fabricate the offset.
+		if !t.pool.ValidateOpt(pg) || child.isNil() {
+			return nilPtr, buffer.OptPage{}, false, buffer.OptRetry
+		}
+		if !okr {
+			return nilPtr, buffer.OptPage{}, false, npg.Miss()
+		}
+		pg, cur = npg, child
+	}
 }
 
 // readOptPage resolves pid optimistically and re-checks the relocation

@@ -67,8 +67,8 @@ func (t *CacheFirst) leafNodesInChainOrder(pg buffer.Page) ([]int, error) {
 // latched page when its ID matches (concurrent-mode latches are not
 // reentrant, so re-latching a held page would self-deadlock). reused
 // pages must not be unpinned by the callee — their dirtiness is
-// settled by the owner, which on the writer descent always unpins
-// dirty. Sequential mode never reuses, keeping the pool call sequence
+// settled by the owner: the writer descent marks the pages it hands to
+// a split dirty before the split runs. Sequential mode never reuses, keeping the pool call sequence
 // (and thus every charged counter) byte-identical to earlier builds.
 func (t *CacheFirst) pinW(pid uint32, held []buffer.Page) (buffer.Page, bool, error) {
 	if t.conc {

@@ -122,11 +122,6 @@ type DiskFirst struct {
 	fanout     int // max entries per page (Table 2 "page fan-out")
 	leafNodes  int // in-page leaf nodes per page in the canonical layout
 
-	// opt enables the optimistic (version-validated, latch-free) read
-	// descent (DESIGN.md §11.6): a latched pool in a build without the
-	// race detector.
-	opt bool
-
 	jpa       bool
 	pfWindow  int
 	overshoot bool // ablation: prefetch past the end page
@@ -182,14 +177,13 @@ func NewDiskFirst(cfg DiskFirstConfig) (*DiskFirst, error) {
 		capL:      sizing.DiskFirstLeafCap(x),
 		fanout:    leaves * sizing.DiskFirstLeafCap(x),
 		leafNodes: leaves,
-		opt:       cfg.Pool.OptSupported(),
 		jpa:       cfg.EnableJPA,
 		pfWindow:  pf,
 		overshoot: cfg.NoOvershootProtection,
 		gapped:    cfg.GappedLeaves,
 		tr:        cfg.Trace,
 	}
-	t.Init(cfg.Pool, t)
+	t.Init(cfg.Pool, t, cfg.Model)
 	return t, nil
 }
 

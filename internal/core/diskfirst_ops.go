@@ -122,28 +122,23 @@ func (t *DiskFirst) Search(k idx.Key) (idx.TupleID, bool, error) {
 
 // findFirst locates the first entry with key == k, returning its pinned
 // page plus (in-page node, slot), or found=false. With excl the leaf
-// pages are pinned exclusively (concurrent Delete mutates in place);
-// the walk holds one leaf latch at a time, moving rightward.
+// pages are pinned exclusively (concurrent Delete mutates in place) and
+// the walk starts, whenever it can, from the page a latch-free descent
+// latched (pagetree.StartLeafFor); it holds one leaf latch at a time,
+// moving rightward.
 func (t *DiskFirst) findFirst(k idx.Key, excl bool) (buffer.Page, int, int, bool, error) {
-	root, height := t.RootHeight()
-	if root == 0 {
-		return buffer.Page{}, 0, 0, false, nil
-	}
-	pid, err := t.LeafFor(root, height, k, true)
-	if err != nil {
-		return buffer.Page{}, 0, 0, false, err
-	}
+	pg, pid, err := t.StartLeafFor(k, excl)
 	first := true
-	for pid != 0 {
-		var pg buffer.Page
-		var err error
-		if excl {
-			pg, err = t.pool.GetX(pid)
-		} else {
-			pg, err = t.pool.Get(pid)
-		}
-		if err != nil {
-			return buffer.Page{}, 0, 0, false, err
+	for ; pid != 0 && err == nil; pg = (buffer.Page{}) {
+		if !pg.Valid() {
+			if excl {
+				pg, err = t.pool.GetX(pid)
+			} else {
+				pg, err = t.pool.Get(pid)
+			}
+			if err != nil {
+				break
+			}
 		}
 		t.TouchHeader(pg)
 		if dfEntries(pg.Data) == 0 {
@@ -180,7 +175,7 @@ func (t *DiskFirst) findFirst(k idx.Key, excl bool) (buffer.Page, int, int, bool
 		t.pool.Unpin(pg, false)
 		pid = next
 	}
-	return buffer.Page{}, 0, 0, false, nil
+	return buffer.Page{}, 0, 0, false, err
 }
 
 // Insert implements idx.Index.
@@ -376,7 +371,8 @@ func (t *DiskFirst) SplitPage(pg buffer.Page) (idx.Key, uint32, error) {
 func (t *DiskFirst) Delete(k idx.Key) (bool, error) {
 	t.ops.Deletes.Add(1)
 	// Concurrent mode pins the leaf exclusively; the descent itself
-	// needs no write latches because lazy deletion never restructures.
+	// needs no write latches — none at all when it runs latch-free —
+	// because lazy deletion never restructures.
 	pg, off, slot, found, err := t.findFirst(k, t.Conc())
 	if err != nil || !found {
 		return false, err

@@ -1,12 +1,13 @@
 package core
 
-// Optimistic (latch-free) point-lookup descent for the disk-first
-// variant, per DESIGN.md §11.6. The descent takes no latches and no
-// pins: each page is resolved with buffer.ReadOpt, searched with plain
-// loads (charges are frozen no-ops in serving mode, and the in-page
-// node-visit stats are deliberately skipped — they would be the only
-// atomic stores left on the path), and everything derived from its
-// bytes — the child page ID, the in-page next-node offset, the
+// Optimistic (latch-free) point lookup for the disk-first variant, per
+// DESIGN.md §11.6. The page-level descent is pagetree.LeafForOpt; this
+// file supplies its in-page half (ChildForOpt) and the leaf walk. The
+// lookup takes no latches and no pins: each page is resolved with
+// buffer.ReadOpt, searched with plain loads (charges are frozen no-ops
+// in serving mode, and the in-page node-visit stats are deliberately
+// skipped — they would be the only atomic stores left on the path), and
+// everything derived from its bytes — the child page ID, the in-page next-node offset, the
 // page-level next pointer, the tuple ID — is re-validated with
 // buffer.ValidateOpt before it is trusted or followed. Any validation
 // failure or write-locked observation restarts the whole descent from
@@ -25,7 +26,7 @@ import (
 // optimistic path is unavailable or gave up (non-resident page, or
 // restart budget exhausted) and the caller must run the latched descent.
 func (t *DiskFirst) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool) {
-	if !t.opt || !t.mm.Concurrent() {
+	if !t.Opt() {
 		return 0, false, false
 	}
 	return t.pool.SearchOpt(k, t.searchOptAttempt)
@@ -34,7 +35,8 @@ func (t *DiskFirst) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool) 
 // searchOptAttempt is one latch-free descent attempt. OptRetry means
 // the attempt observed interference and may be retried, OptAbsent that
 // it met a non-resident page and must be abandoned; the results are
-// only meaningful when st is buffer.OptDone.
+// only meaningful when st is buffer.OptDone. via is the view pid was
+// read from, validated once pid's page has been sampled (LeafForOpt).
 func (t *DiskFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st buffer.OptStatus) {
 	// A torn read can yield wild in-page offsets before validation gets
 	// to reject them; convert the resulting bounds panic into a restart.
@@ -43,48 +45,27 @@ func (t *DiskFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st
 			tid, found, st = 0, false, buffer.OptRetry
 		}
 	}()
-	root, height := t.RootHeight()
-	if root == 0 {
-		return 0, false, buffer.OptDone
+	pid, via, _, st := t.LeafForOpt(k, true)
+	if st != buffer.OptDone {
+		return 0, false, st
 	}
-	pid := root
-	for lvl := height - 1; lvl > 0; lvl-- {
+	for first := true; pid != 0; first = false {
 		pg, okr := t.pool.ReadOpt(pid)
-		if !okr {
-			return 0, false, pg.Miss()
-		}
-		child := t.inPageChildForOpt(pg.Data, k, true)
-		// Validate before following child: an unvalidated pointer may
-		// come from a torn read or a mid-restructure page image.
-		if !t.pool.ValidateOpt(pg) || child == 0 {
+		if via.Valid() && !t.pool.ValidateOpt(via) {
 			return 0, false, buffer.OptRetry
 		}
-		pid = child
-	}
-	first := true
-	for pid != 0 {
-		pg, okr := t.pool.ReadOpt(pid)
 		if !okr {
 			return 0, false, pg.Miss()
 		}
 		d := pg.Data
+		pid, via = dfNextPage(d), pg
 		if dfEntries(d) == 0 {
-			// Lazy deletion can leave empty pages; hop them, validating
-			// the next pointer before it is followed.
-			next := dfNextPage(d)
-			if !t.pool.ValidateOpt(pg) {
-				return 0, false, buffer.OptRetry
-			}
-			pid = next
-			first = false
+			// Lazy deletion can leave empty pages; hop them.
 			continue
 		}
-		var off int
+		off := dfFirstLeaf(d)
 		if first {
 			off = t.descendInPageOpt(d, k, true)
-			first = false
-		} else {
-			off = dfFirstLeaf(d)
 		}
 		// The in-page hop count is bounded by the page's line count: a
 		// torn next-offset chain could otherwise cycle, and unlike a
@@ -103,11 +84,9 @@ func (t *DiskFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st
 			}
 			off = t.lNext(d, off)
 		}
-		next := dfNextPage(d)
-		if !t.pool.ValidateOpt(pg) {
-			return 0, false, buffer.OptRetry
-		}
-		pid = next
+	}
+	if via.Valid() && !t.pool.ValidateOpt(via) {
+		return 0, false, buffer.OptRetry
 	}
 	return 0, false, buffer.OptDone
 }
@@ -132,14 +111,15 @@ func (t *DiskFirst) descendInPageOpt(d []byte, k idx.Key, lt bool) int {
 	return off
 }
 
-// inPageChildForOpt is ChildFor over an unvalidated optimistic
-// snapshot (no charges, no visit stats).
-func (t *DiskFirst) inPageChildForOpt(d []byte, k idx.Key, lt bool) uint32 {
+// ChildForOpt implements pagetree.Layout: ChildFor over an unvalidated
+// optimistic snapshot (no charges, no visit stats).
+func (t *DiskFirst) ChildForOpt(d []byte, k idx.Key, lt bool) (uint32, bool) {
 	off := t.descendInPageOpt(d, k, lt)
 	prefetchNode(t.mm, buffer.Page{Data: d}, off, t.x)
 	slot, _ := t.searchLeafNode(buffer.Page{Data: d}, off, k, lt)
-	if slot < 0 {
+	below := slot < 0
+	if below {
 		slot = 0
 	}
-	return t.lPtr(d, off, slot)
+	return t.lPtr(d, off, slot), below
 }

@@ -75,6 +75,9 @@ type Table struct {
 
 	optRestarts  atomic.Uint64 // optimistic descents restarted on version mismatch
 	optFallbacks atomic.Uint64 // optimistic descents that fell back to latched reads
+
+	optWrites         atomic.Uint64 // writes finished on the leaf-only path
+	optWriteFallbacks atomic.Uint64 // writes that took the structural path
 }
 
 // NewTable returns an empty latch table.
@@ -266,6 +269,15 @@ func (t *Table) OptRestart() { t.optRestarts.Add(1) }
 // mode for the shared-latch path after exhausting its restart budget.
 func (t *Table) OptFallback() { t.optFallbacks.Add(1) }
 
+// OptWrite records one Insert or Delete finished on the leaf-only path:
+// a latch-free descent and one exclusive latch, on the leaf page.
+func (t *Table) OptWrite() { t.optWrites.Add(1) }
+
+// OptWriteFallback records one Insert or Delete that took the
+// structural path instead (exclusive crabbing, or cache-first's writer
+// mutex), whatever sent it there.
+func (t *Table) OptWriteFallback() { t.optWriteFallbacks.Add(1) }
+
 // OptRestarts returns the total optimistic restarts recorded.
 func (t *Table) OptRestarts() uint64 { return t.optRestarts.Load() }
 
@@ -287,6 +299,8 @@ func (t *Table) RegisterMetrics(reg *obs.Registry) {
 	reg.Counter("latch.try_fails", t.tryFails.Load)
 	reg.Counter("latch.opt_restarts", t.optRestarts.Load)
 	reg.Counter("latch.opt_fallbacks", t.optFallbacks.Load)
+	reg.Counter("latch.opt_writes", t.optWrites.Load)
+	reg.Counter("latch.opt_write_fallbacks", t.optWriteFallbacks.Load)
 }
 
 // spinPauses is how many Backoff pauses busy-spin before yielding the

@@ -6,7 +6,8 @@ import (
 	"repro/internal/latch"
 )
 
-// Concurrent insertion: pessimistic exclusive-latch crabbing.
+// Concurrent insertion, structural path: pessimistic exclusive-latch
+// crabbing, for the inserts the leaf-only write (opt.go) declines.
 //
 // The writer descends from the root taking exclusive latches top-down.
 // After latching a child it releases every held ancestor if the child
@@ -31,6 +32,7 @@ type heldPage struct {
 // restarts only when the root it latched is no longer the root (a
 // concurrent root grow won the race).
 func (t *Tree) insertConc(k idx.Key, tid idx.TupleID) error {
+	t.pool.Latches().OptWriteFallback()
 	var bo latch.Backoff
 	for {
 		root, height := t.RootHeight()

@@ -31,6 +31,48 @@ var layoutRows = []struct {
 	}},
 }
 
+// TestChildForOptAgrees: the latch-free descent must route exactly like
+// the latched one. On every layout, over a nonleaf page filled to its
+// bound, ChildForOpt names the child ChildFor names for keys below,
+// between, on and above the separators, under both comparisons, and
+// reports below exactly when the key was clamped.
+func TestChildForOptAgrees(t *testing.T) {
+	for _, row := range layoutRows {
+		mm := memsim.NewDefault()
+		pool := buffer.NewPool(buffer.NewMemStore(4<<10), 4)
+		pool.AttachModel(mm)
+		lay, err := row.make(pool, mm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, err := pool.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lay.InitRoot(pg.Data, 1, 100, 1001, 200, 1002); err != nil {
+			t.Fatal(err)
+		}
+		top := idx.Key(300)
+		for ; ; top += 100 {
+			if ok, err := lay.InsertOnePage(pg, top, uint32(top)); err != nil {
+				t.Fatal(err)
+			} else if !ok {
+				break
+			}
+		}
+		for k := idx.Key(90); k < top+100; k += 5 {
+			for _, lt := range []bool{false, true} {
+				want := lay.ChildFor(pg, k, lt)
+				got, below := lay.ChildForOpt(pg.Data, k, lt)
+				if clamped := k < 100 || (lt && k == 100); got != want || below != clamped {
+					t.Fatalf("%s: ChildForOpt(%d, lt=%v) = (%d, %v), ChildFor = %d, clamped = %v", row.name, k, lt, got, below, want, clamped)
+				}
+			}
+		}
+		pool.Unpin(pg, true)
+	}
+}
+
 // TestSafeImpliesInsertFits is the safe-node rule as a property: on
 // every layout, for leaf and nonleaf pages filled in several key
 // orders from empty to full, whenever Safe says a page can take one

@@ -6,8 +6,9 @@
 // in-page tree (§3.1).
 //
 // Everything here works on whole pages: the root and leftmost-leaf
-// state, the descent to a leaf page, the serial insert with its root
-// grow, exclusive latch crabbing, the level-wise batch descent, the
+// state, the descent to a leaf page (latched and latch-free), the
+// serial insert with its root grow, the leaf-only write and the
+// exclusive latch crabbing behind it, the level-wise batch descent, the
 // level and leaf-chain walks, scavenge and the durable meta. What a
 // page holds, how it is searched and how it splits is the Layout's
 // business; this package never looks inside a page and never asks
@@ -21,6 +22,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/idx"
+	"repro/internal/memsim"
 )
 
 // Layout is what distinguishes one page-granular tree from another. A
@@ -35,6 +37,10 @@ type Layout interface {
 	// strictly-less comparisons (lookups and forward scans, so
 	// duplicates equal to a separator are not skipped).
 	ChildFor(pg buffer.Page, k idx.Key, lt bool) uint32
+	// ChildForOpt is ChildFor over the bytes of an unvalidated optimistic
+	// snapshot: no charge, no visit statistics. below reports that k fell
+	// below the leftmost separator and was clamped.
+	ChildForOpt(d []byte, k idx.Key, lt bool) (child uint32, below bool)
 	// ChildForInsert is ChildFor for an insert: when k falls below the
 	// page's minimum separator it lowers that separator to k, so that
 	// separators remain true lower bounds, and reports the page dirty.
@@ -74,6 +80,7 @@ type Layout interface {
 type Tree struct {
 	pool *buffer.Pool
 	lay  Layout
+	mm   *memsim.Model
 
 	// meta packs (root page, height) so concurrent descents always see
 	// a consistent pair; a stale pair is still a valid entry point
@@ -93,10 +100,12 @@ type Tree struct {
 	batch idx.BatchScratch
 }
 
-// Init binds the protocol to its pool and layout.
-func (t *Tree) Init(pool *buffer.Pool, lay Layout) {
+// Init binds the protocol to its pool, its layout and the model, which
+// is only ever asked whether the tree is serving (see Opt).
+func (t *Tree) Init(pool *buffer.Pool, lay Layout, mm *memsim.Model) {
 	t.pool = pool
 	t.lay = lay
+	t.mm = mm
 	t.conc = pool.Latches() != nil
 }
 
@@ -199,10 +208,14 @@ func (t *Tree) LeafFor(root uint32, height int, k idx.Key, lt bool) (uint32, err
 	return pid, nil
 }
 
-// Insert adds (k, tid): by exclusive latch crabbing on a latched pool,
-// by the recursive descent below otherwise.
+// Insert adds (k, tid). On a latched pool the leaf-only write (opt.go)
+// takes it whenever the leaf cannot split, and exclusive latch crabbing
+// otherwise; sequentially it is the recursive descent below.
 func (t *Tree) Insert(k idx.Key, tid idx.TupleID) error {
 	if t.conc {
+		if done, err := t.insertLeafOpt(k, tid); done || err != nil {
+			return err
+		}
 		return t.insertConc(k, tid)
 	}
 	root, height := t.RootHeight()

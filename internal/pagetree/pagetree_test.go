@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/idx"
+	"repro/internal/memsim"
 	"repro/internal/obs"
 )
 
@@ -53,9 +54,13 @@ const (
 
 var hookNames = [...]string{hookTouch: "touch", hookChildForInsert: "child-for-insert", hookInsert: "insert", hookSplit: "split"}
 
+// newFake builds a serving tree: on a latched pool, in a build without
+// the race detector, inserts take the leaf-only path when they can.
 func newFake(pool *buffer.Pool) *fake {
 	f := &fake{pool: pool}
-	f.Init(pool, f)
+	mm := memsim.NewDefault()
+	mm.SetConcurrent(true)
+	f.Init(pool, f, mm)
 	return f
 }
 
@@ -90,6 +95,11 @@ func (f *fake) TouchHeader(pg buffer.Page) { f.log(hookTouch, pg) }
 
 func (f *fake) ChildFor(pg buffer.Page, k idx.Key, lt bool) uint32 {
 	return fPtr(pg.Data, max(fSlot(pg.Data, k, lt), 0))
+}
+
+func (f *fake) ChildForOpt(d []byte, k idx.Key, lt bool) (uint32, bool) {
+	s := fSlot(d, k, lt)
+	return fPtr(d, max(s, 0)), s < 0
 }
 
 func (f *fake) ChildForInsert(pg buffer.Page, k idx.Key) (uint32, bool) {
