@@ -83,7 +83,13 @@ func TestConcurrentMixedStress(t *testing.T) {
 								errs <- fmt.Errorf("reader %d: RangeScan saw inconsistent tuple", w)
 								return
 							}
-							if err := reverseScanDiff(tr, lo, lo+64, maxKey); err != nil {
+							// Cache-first's reverse walk can still lose entries to
+							// a racing page split (ROADMAP item 3(b)).
+							tries := 1
+							if v == CacheFirst {
+								tries = 3
+							}
+							if err := reverseScanDiff(tr, lo, lo+64, maxKey, tries); err != nil {
 								errs <- fmt.Errorf("reader %d: %v", w, err)
 								return
 							}
@@ -162,10 +168,12 @@ func TestConcurrentMixedStress(t *testing.T) {
 // below maxKey, all with TID = key+7: every entry seen must carry its
 // tuple, lie in range and descend strictly, and the odd keys seen must
 // be exactly the odd keys of the range. A reverse scan walks against
-// the direction splits move entries, so one scan may miss what a split
-// racing its page hop moved right of it; an odd key missing from three
-// scans in a row is not that race.
-func reverseScanDiff(tr *Tree, lo, hi, maxKey Key) error {
+// the direction splits move entries. The page-granular trees recover
+// what a split racing a page hop moved right of the walk (pagetree.Scan)
+// and must be exact on the first try; the cache-first walk may still
+// miss it, but an odd key missing from three scans in a row is not that
+// race.
+func reverseScanDiff(tr *Tree, lo, hi, maxKey Key, tries int) error {
 	wantOdd := 0
 	for k := lo | 1; k <= hi && k < maxKey; k += 2 {
 		wantOdd++
@@ -197,8 +205,8 @@ func reverseScanDiff(tr *Tree, lo, hi, maxKey Key) error {
 		if gotOdd == wantOdd {
 			return nil
 		}
-		if try == 3 {
-			return fmt.Errorf("RangeScanReverse(%d,%d): saw %d of the %d bulkloaded keys, three times running", lo, hi, gotOdd, wantOdd)
+		if try == tries {
+			return fmt.Errorf("RangeScanReverse(%d,%d): saw %d of the %d bulkloaded keys, %d times running", lo, hi, gotOdd, wantOdd, tries)
 		}
 	}
 }

@@ -21,12 +21,12 @@
 // (§4.2.2).
 //
 // The layout shows only in the in-page kernels of layout.go; the
-// optimistic descent, the scans and the page operations above them
-// exist once and never ask which layout they run on. The page-granular
-// protocol around them — descent to a leaf page, serial and crabbing
-// insert, batch descent, scavenge, durable meta — is internal/pagetree,
-// shared with the disk-first fpB+-Tree; this package supplies its
-// Layout.
+// optimistic descent, the per-page scan and the page operations above
+// them exist once and never ask which layout they run on. The
+// page-granular protocol around them — descent to a leaf page, serial
+// and crabbing insert, batch descent, the range-scan walk, scavenge,
+// durable meta — is internal/pagetree, shared with the disk-first
+// fpB+-Tree; this package supplies its Layout.
 //
 // The tree optionally maintains the page-level internal jump-pointer
 // array of §2.2 (sibling links between leaf-parent pages) so that range
@@ -117,10 +117,11 @@ type Tree struct {
 	subsMax    int // micro-index slots
 	subLines   int // cache lines per sub-array
 
-	jpa      bool
-	pfWindow int
-
-	tr  *obs.Tracer
+	tr *obs.Tracer
+	// Every operation bumps a counter of ops; the padding keeps those
+	// writes off the cache line of the geometry every search reads,
+	// wherever the allocator puts the struct.
+	_   [64]byte
 	ops idx.AtomicOpStats
 }
 
@@ -129,22 +130,16 @@ func New(cfg Config) (*Tree, error) {
 	if cfg.Pool == nil || cfg.Model == nil {
 		return nil, fmt.Errorf("bptree: Pool and Model are required")
 	}
-	w := cfg.PrefetchWindow
-	if w <= 0 {
-		w = 16
-	}
 	t := &Tree{
 		pool:     cfg.Pool,
 		mm:       cfg.Model,
 		pageSize: cfg.Pool.PageSize(),
-		jpa:      cfg.EnableJPA,
-		pfWindow: w,
 		tr:       cfg.Trace,
 	}
 	if err := t.setLayout(cfg.MicroIndex, cfg.SubarrayBytes); err != nil {
 		return nil, err
 	}
-	t.Init(cfg.Pool, t, cfg.Model)
+	t.Init(cfg.Pool, t, cfg.Model, cfg.EnableJPA, cfg.PrefetchWindow, false)
 	return t, nil
 }
 

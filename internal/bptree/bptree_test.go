@@ -8,6 +8,7 @@ import (
 	"repro/internal/disksim"
 	"repro/internal/idx"
 	"repro/internal/memsim"
+	"repro/internal/obs"
 	"repro/internal/treetest"
 )
 
@@ -389,6 +390,62 @@ func TestJPADoesNotOvershoot(t *testing.T) {
 	if s.PrefetchIssue > 4 {
 		t.Fatalf("short scan prefetched %d pages; overshooting", s.PrefetchIssue)
 	}
+}
+
+// TestJPAPrefetchesEndPage: the end page of a forward scan is looked up
+// with <= comparisons, so a range that ends exactly on a page's first
+// key still prefetches that page instead of demand-missing it; and a
+// one-page tree, which has no jump-pointer array, prefetches nothing.
+func TestJPAPrefetchesEndPage(t *testing.T) {
+	forLayouts(t, func(t *testing.T, cfg Config) {
+		cfg.EnableJPA = true
+		pool := buffer.NewPool(buffer.NewMemStore(4<<10), 256)
+		mm := memsim.NewDefault()
+		pool.AttachModel(mm)
+		tr := newTree(t, cfg, pool, mm)
+		es := treetest.GenEntries(20*tr.Cap(), 10, 2) // unique keys, 20 full pages
+		if err := tr.Bulkload(es, 1.0); err != nil {
+			t.Fatal(err)
+		}
+		endKey := es[7*tr.Cap()].Key // the first key of the eighth page
+		root, height := tr.RootHeight()
+		endLeaf, err := tr.LeafFor(root, height, endKey, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.DropAll(); err != nil {
+			t.Fatal(err)
+		}
+		trace := obs.NewTracer(1 << 10)
+		pool.AttachTracer(trace)
+		if n, err := tr.RangeScan(es[5*tr.Cap()+3].Key, endKey, nil); err != nil || n != 2*tr.Cap()-2 {
+			t.Fatalf("scan = (%d, %v), want %d entries", n, err, 2*tr.Cap()-2)
+		}
+		prefetched := false
+		for _, e := range trace.Events(nil) {
+			prefetched = prefetched || e.Kind == obs.EvPrefetchIssue && e.PID == endLeaf
+			if e.Kind == obs.EvDemandMiss && e.PID == endLeaf {
+				t.Fatalf("the end page %d was demand-missed", endLeaf)
+			}
+		}
+		if !prefetched {
+			t.Fatalf("no prefetch was issued for the end page %d", endLeaf)
+		}
+
+		if err := tr.Bulkload(es[:tr.Cap()/2], 1.0); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.DropAll(); err != nil {
+			t.Fatal(err)
+		}
+		pool.ResetStats()
+		if _, err := tr.RangeScan(0, ^idx.Key(0), nil); err != nil {
+			t.Fatal(err)
+		}
+		if s := pool.Stats(); s.PrefetchIssue != 0 || s.DemandMisses != 1 {
+			t.Fatalf("one-page tree: scan issued %d prefetches and %d demand misses, want 0 and 1", s.PrefetchIssue, s.DemandMisses)
+		}
+	})
 }
 
 func TestSearchIOCountsMatchHeight(t *testing.T) {

@@ -3,136 +3,83 @@ package bptree
 import (
 	"fmt"
 
+	"repro/internal/buffer"
 	"repro/internal/idx"
 	"repro/internal/memsim"
 )
 
-// RangeScan implements idx.Index. With JPA enabled it first locates the
-// range's end page (so prefetching never overshoots, §2.2), gathers the
-// leaf page IDs in the range from the leaf-parent jump-pointer chain,
-// and keeps PrefetchWindow leaf pages in flight ahead of consumption.
+// RangeScan implements idx.Index: pagetree.Scan is the walk (end page
+// first, jump-pointer prefetch window, sibling hops) and ScanLeaf the
+// per-page part. The jump-pointer array is the page-level internal one
+// of §2.2, the technique the paper added to DB2.
 func (t *Tree) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.TupleID) bool) (int, error) {
 	t.ops.Scans.Add(1)
-	root, height := t.RootHeight()
-	if root == 0 || startKey > endKey {
-		return 0, nil
-	}
-	startLeaf, err := t.LeafFor(root, height, startKey, true)
-	if err != nil {
-		return 0, err
-	}
+	return t.Scan(startKey, endKey, false, fn)
+}
 
-	var pids []uint32 // leaf pages to prefetch, in scan order
-	if t.jpa {
-		endLeaf, err := t.LeafFor(root, height, endKey, true)
-		if err != nil {
-			return 0, err
-		}
-		pids, err = t.leafPagesBetween(root, height, startKey, startLeaf, endLeaf)
-		if err != nil {
-			return 0, err
-		}
-	}
+// RangeScanReverse implements idx.Index: descending order along the
+// leaf pages' prev links (the DB2 implementation of §4.3.3 keeps
+// sibling links in both directions).
+func (t *Tree) RangeScanReverse(startKey, endKey idx.Key, fn func(idx.Key, idx.TupleID) bool) (int, error) {
+	t.ops.ReverseScans.Add(1)
+	return t.Scan(startKey, endKey, true, fn)
+}
 
+// ScanLeaf implements pagetree.Layout.
+func (t *Tree) ScanLeaf(pg buffer.Page, lo, hi idx.Key, reverse, seek bool, fn func(idx.Key, idx.TupleID) bool) (int, bool) {
+	i, end, step := 0, pCount(pg.Data), 1
+	if reverse {
+		i, end, step = end-1, -1, -1
+	}
+	if seek && reverse {
+		i, _ = t.searchPage(pg, hi, false) // the last entry <= hi
+	} else if seek {
+		s, _ := t.searchPage(pg, lo, true)
+		i = s + 1 // the first entry >= lo
+	}
 	count := 0
-	pfNext := 0  // next index in pids to prefetch
-	pageIdx := 0 // index of the current leaf within pids
-	pid := startLeaf
-	first := true
-	for pid != 0 {
-		if t.jpa {
-			for pfNext < len(pids) && pfNext <= pageIdx+t.pfWindow {
-				if err := t.pool.Prefetch(pids[pfNext]); err != nil {
-					return count, err
-				}
-				pfNext++
+	for ; i != end; i += step {
+		t.mm.Access(pg.Addr+uint64(t.keyOff(i)), idx.KeySize)
+		k := t.key(pg.Data, i)
+		if k < lo || k > hi {
+			if (k < lo) == reverse {
+				return count, true // past the far bound
 			}
+			continue
 		}
-		pg, err := t.pool.Get(pid)
-		if err != nil {
-			return count, err
+		t.mm.Access(pg.Addr+uint64(t.ptrOff(i)), idx.TupleIDSize)
+		t.mm.Busy(memsim.CostEntryVisit)
+		count++
+		if fn != nil && !fn(k, t.ptr(pg.Data, i)) {
+			return count, true
 		}
-		t.TouchHeader(pg)
-		n := pCount(pg.Data)
-		i := 0
-		if first {
-			// Position on the first entry >= startKey.
-			s, _ := t.searchPage(pg, startKey, true)
-			i = s + 1
-			first = false
-		}
-		for ; i < n; i++ {
-			t.mm.Access(pg.Addr+uint64(t.keyOff(i)), idx.KeySize)
-			k := t.key(pg.Data, i)
-			if k > endKey {
-				t.pool.Unpin(pg, false)
-				return count, nil
-			}
-			if k < startKey {
-				continue
-			}
-			t.mm.Access(pg.Addr+uint64(t.ptrOff(i)), idx.TupleIDSize)
-			t.mm.Busy(memsim.CostEntryVisit)
-			tid := t.ptr(pg.Data, i)
-			count++
-			if fn != nil && !fn(k, tid) {
-				t.pool.Unpin(pg, false)
-				return count, nil
-			}
-		}
-		next := pNext(pg.Data)
-		t.pool.Unpin(pg, false)
-		pid = next
-		pageIdx++
 	}
-	return count, nil
+	return count, false
 }
 
-// leafPagesBetween walks the leaf-parent jump-pointer chain and returns
-// the leaf page IDs from startLeaf through endLeaf inclusive.
-func (t *Tree) leafPagesBetween(root uint32, height int, startKey idx.Key, startLeaf, endLeaf uint32) ([]uint32, error) {
-	if height == 1 {
-		return []uint32{root}, nil
-	}
-	// Find the leaf parent holding startLeaf.
-	pid := root
-	for lvl := height - 1; lvl > 1; lvl-- {
-		pg, err := t.pool.Get(pid)
-		if err != nil {
-			return nil, err
+// JumpPointers implements pagetree.Layout: a leaf-parent page's pointer
+// array is its chunk of the jump-pointer array.
+func (t *Tree) JumpPointers(pg buffer.Page, first, last uint32, extra int, dst []uint32) ([]uint32, bool) {
+	d := pg.Data
+	for i, n := 0, pCount(d); i < n; i++ {
+		child := t.ptr(d, i)
+		if first != 0 && child != first {
+			continue
 		}
-		child := t.ChildFor(pg, startKey, true)
-		t.pool.Unpin(pg, false)
-		pid = child
-	}
-	var pids []uint32
-	started := false
-	for pid != 0 {
-		pg, err := t.pool.Get(pid)
-		if err != nil {
-			return nil, err
-		}
-		t.TouchHeader(pg)
-		n := pCount(pg.Data)
-		for i := 0; i < n; i++ {
-			child := t.ptr(pg.Data, i)
-			if child == startLeaf {
-				started = true
+		first = 0
+		dst = append(dst, child)
+		if child == last {
+			for j := i + 1; j < n && j <= i+extra; j++ {
+				dst = append(dst, t.ptr(d, j))
 			}
-			if started {
-				pids = append(pids, child)
-				if child == endLeaf {
-					t.pool.Unpin(pg, false)
-					return pids, nil
-				}
-			}
+			return dst, true
 		}
-		next := pJPNext(pg.Data)
-		t.pool.Unpin(pg, false)
-		pid = next
 	}
-	return pids, nil
+	return dst, false
 }
+
+// Prev implements pagetree.Layout.
+func (t *Tree) Prev(d []byte) uint32 { return pPrev(d) }
 
 // SpaceStats implements idx.Index: a level walk classifying pages and
 // counting leaf entries.

@@ -227,24 +227,21 @@ func (t *CacheFirst) rangeScanConc(startKey, endKey idx.Key, fn func(idx.Key, id
 	if startKey > endKey {
 		return 0, nil
 	}
-	count := 0
-	resume := startKey // lower bound of the current attempt
-	strict := false    // true: deliver keys > resume; false: >= resume
-	var last idx.Key
-	delivered := false
+	// s.lo is the lower bound of the current attempt.
+	s := nodeScan{mm: t.mm, lo: startKey, hi: endKey, fn: fn}
 	var bo latch.Backoff
 	for {
 		e := t.relocEpoch()
-		pg, cur, ok, err := t.descendConc(resume, !strict, e)
+		pg, cur, ok, err := t.descendConc(s.lo, true, e)
 		if err != nil {
-			return count, err
+			return s.count, err
 		}
 		if !ok {
 			t.epochRestart(&bo)
 			continue
 		}
 		if cur.isNil() {
-			return count, nil
+			return s.count, nil
 		}
 		stale := false
 		first := true
@@ -252,7 +249,7 @@ func (t *CacheFirst) rangeScanConc(startKey, endKey idx.Key, fn func(idx.Key, id
 			if cur.pid != pg.ID {
 				t.pool.Unpin(pg, false)
 				if pg, err = t.pool.Get(cur.pid); err != nil {
-					return count, err
+					return s.count, err
 				}
 				if t.reloc.Load() != e {
 					t.pool.Unpin(pg, false)
@@ -262,51 +259,32 @@ func (t *CacheFirst) rangeScanConc(startKey, endKey idx.Key, fn func(idx.Key, id
 			}
 			t.visitNode(pg, cur.off)
 			d := pg.Data
-			i := 0
+			from := 0
 			if first {
-				// Position past keys below the attempt's lower bound:
-				// last slot < resume (inclusive) or <= resume (strict).
-				slot, _ := t.searchNode(pg, cur.off, resume, !strict)
-				i = slot + 1
+				// Position past the keys below the attempt's lower bound.
+				slot, _ := t.searchNode(pg, cur.off, s.lo, true)
+				from = slot + 1
 				first = false
 			}
-			gapped := t.gappedLeafPage(d)
-			cnt := t.cSlots(d, cur.off)
-			for ; i < cnt; i++ {
-				k := t.cKey(d, cur.off, i)
-				// Skip gap slots before the end-of-range check: the
-				// sentinel is the max key and would falsely terminate.
-				if gapped && k == gapSentinel {
-					continue
-				}
-				if k > endKey {
-					t.pool.Unpin(pg, false)
-					return count, nil
-				}
-				if k < resume || (strict && k == resume) {
-					continue
-				}
-				tid := t.cTid(d, cur.off, i)
-				count++
-				last, delivered = k, true
-				if fn != nil && !fn(k, tid) {
-					t.pool.Unpin(pg, false)
-					return count, nil
-				}
+			if s.node(pg, t.cKeyPos(cur.off, 0), t.capL, from, t.cSlots(d, cur.off), t.gappedLeafPage(d)) {
+				t.pool.Unpin(pg, false)
+				return s.count, nil
 			}
 			cur = t.cNextLeaf(d, cur.off)
 		}
-		if stale {
-			if delivered {
-				resume, strict = last, true
+		if !stale {
+			if pg.Valid() {
+				t.pool.Unpin(pg, false)
 			}
-			t.epochRestart(&bo)
-			continue
+			return s.count, nil
 		}
-		if pg.Valid() {
-			t.pool.Unpin(pg, false)
+		if s.count > 0 {
+			if s.last == ^idx.Key(0) {
+				return s.count, nil // no key sorts after the last one delivered
+			}
+			s.lo = s.last + 1
 		}
-		return count, nil
+		t.epochRestart(&bo)
 	}
 }
 
@@ -320,25 +298,22 @@ func (t *CacheFirst) rangeScanReverseConc(startKey, endKey idx.Key, fn func(idx.
 	if startKey > endKey {
 		return 0, nil
 	}
-	count := 0
-	hi := endKey    // upper bound of the current attempt
-	strict := false // true: deliver keys < hi; false: <= hi
-	var last idx.Key
-	delivered := false
+	// s.hi is the upper bound of the current attempt.
+	s := nodeScan{mm: t.mm, lo: startKey, hi: endKey, reverse: true, fn: fn}
 	var bo latch.Backoff
 restart:
 	for {
 		e := t.relocEpoch()
-		pg, endAt, ok, err := t.descendConc(hi, strict, e)
+		pg, endAt, ok, err := t.descendConc(s.hi, false, e)
 		if err != nil {
-			return count, err
+			return s.count, err
 		}
 		if !ok {
 			t.epochRestart(&bo)
 			continue
 		}
 		if endAt.isNil() {
-			return count, nil
+			return s.count, nil
 		}
 		// Reverse page order from the JPA. The snapshot may miss pages
 		// split off after it is taken; the epoch check below catches
@@ -352,73 +327,31 @@ restart:
 		t.jpaMu.RUnlock()
 		t.pool.Unpin(pg, false)
 		if err != nil {
-			return count, err
+			return s.count, err
 		}
-		firstPage := true
-		for _, pid := range pids {
+		for i, pid := range pids {
 			pg, err := t.pool.Get(pid)
 			if err != nil {
-				return count, err
+				return s.count, err
 			}
 			if t.reloc.Load() != e {
 				t.pool.Unpin(pg, false)
-				if delivered {
-					hi, strict = last, true
+				if s.count > 0 {
+					if s.last == 0 {
+						return s.count, nil // no key sorts before the last one delivered
+					}
+					s.hi = s.last - 1
 				}
 				t.epochRestart(&bo)
 				continue restart
 			}
-			offs, err := t.leafNodesInChainOrder(pg)
-			if err != nil {
-				t.pool.Unpin(pg, false)
-				return count, err
-			}
-			oi := len(offs) - 1
-			i := -1
-			if firstPage {
-				for j, o := range offs {
-					if o == endAt.off {
-						oi = j
-						break
-					}
-				}
-				// Last slot <= hi (inclusive) or < hi (strict).
-				slot, _ := t.searchNode(pg, endAt.off, hi, strict)
-				i = slot
-				firstPage = false
-			}
-			d := pg.Data
-			gapped := t.gappedLeafPage(d)
-			for ; oi >= 0; oi-- {
-				off := offs[oi]
-				t.visitNode(pg, off)
-				if i < 0 {
-					i = t.cSlots(d, off) - 1
-				}
-				for ; i >= 0; i-- {
-					k := t.cKey(d, off, i)
-					if gapped && k == gapSentinel {
-						continue
-					}
-					if k < startKey {
-						t.pool.Unpin(pg, false)
-						return count, nil
-					}
-					if k > hi || (strict && k == hi) {
-						continue
-					}
-					tid := t.cTid(d, off, i)
-					count++
-					last, delivered = k, true
-					if fn != nil && !fn(k, tid) {
-						t.pool.Unpin(pg, false)
-						return count, nil
-					}
-				}
-			}
+			done, err := t.reverseScanPage(pg, &s, i == 0, endAt)
 			t.pool.Unpin(pg, false)
+			if err != nil || done {
+				return s.count, err
+			}
 		}
-		return count, nil
+		return s.count, nil
 	}
 }
 

@@ -33,47 +33,48 @@ func (t *CacheFirst) RangeScanReverse(startKey, endKey idx.Key, fn func(idx.Key,
 		return 0, err
 	}
 
-	count := 0
+	s := nodeScan{mm: t.mm, lo: startKey, hi: endKey, reverse: true, fn: fn}
 	first := true
 	pfNext := 0
 	for pageIdx, pid := range pids {
 		if t.jpaOn {
 			for pfNext < len(pids) && pfNext <= pageIdx+t.pfWindow {
 				if err := t.pool.Prefetch(pids[pfNext]); err != nil {
-					return count, err
+					return s.count, err
 				}
 				pfNext++
 			}
 		}
 		pg, err := t.pool.Get(pid)
 		if err != nil {
-			return count, err
+			return s.count, err
 		}
 		t.touchPageHeader(pg)
 		if t.jpaOn {
 			t.mm.Prefetch(pg.Addr+lineSize, (cfNextFree(pg.Data)-1)*lineSize)
 		}
-		done, n, err := t.reverseScanPage(pg, startKey, endKey, first, endAt, fn)
-		count += n
+		done, err := t.reverseScanPage(pg, &s, first, endAt)
 		t.pool.Unpin(pg, false)
 		if err != nil || done {
-			return count, err
+			return s.count, err
 		}
 		first = false
 	}
-	return count, nil
+	return s.count, nil
 }
 
-// reverseScanPage consumes one leaf page's nodes in reverse chain
-// order. done reports that the scan crossed below startKey or fn
-// stopped it.
-func (t *CacheFirst) reverseScanPage(pg buffer.Page, startKey, endKey idx.Key, first bool, endAt ptr, fn func(idx.Key, idx.TupleID) bool) (bool, int, error) {
+// reverseScanPage hands s one leaf page's nodes in reverse chain order;
+// on the scan's first page it starts in node endAt, at the last entry
+// <= s.hi. done reports that the scan is over. The lighter node visit
+// belongs to the page-wide node prefetch only the sequential scan
+// issues.
+func (t *CacheFirst) reverseScanPage(pg buffer.Page, s *nodeScan, first bool, endAt ptr) (done bool, err error) {
 	offs, err := t.leafNodesInChainOrder(pg)
 	if err != nil {
-		return true, 0, err
+		return true, err
 	}
 	oi := len(offs) - 1
-	i := -1
+	from := 0
 	if first {
 		for j, o := range offs {
 			if o == endAt.off {
@@ -82,44 +83,25 @@ func (t *CacheFirst) reverseScanPage(pg buffer.Page, startKey, endKey idx.Key, f
 			}
 		}
 		t.visitNode(pg, endAt.off)
-		slot, _ := t.searchNode(pg, endAt.off, endKey, false)
-		i = slot
+		from, _ = t.searchNode(pg, endAt.off, s.hi, false)
 	}
-	count := 0
 	d := pg.Data
-	for ; oi >= 0; oi-- {
+	gapped := t.gappedLeafPage(d)
+	for ; oi >= 0; oi, first = oi-1, false {
 		off := offs[oi]
-		if !t.jpaOn {
+		if !t.jpaOn || t.conc {
 			t.visitNode(pg, off)
 		} else {
 			t.mm.Access(pg.Addr+uint64(nodeBase(off)), cfNodeHdr)
 			t.mm.Busy(memsim.CostNodeVisit)
 		}
-		if i < 0 {
-			i = t.cSlots(d, off) - 1
+		slots := t.cSlots(d, off)
+		if !first {
+			from = slots - 1
 		}
-		gapped := t.gappedLeafPage(d)
-		for ; i >= 0; i-- {
-			// Skip gap slots before any bound check: the sentinel is the
-			// max key and endKey may legitimately be that value.
-			if gapped && t.cKey(d, off, i) == gapSentinel {
-				continue
-			}
-			t.mm.Access(pg.Addr+uint64(t.cKeyPos(off, i)), 4)
-			k := t.cKey(d, off, i)
-			if k < startKey {
-				return true, count, nil
-			}
-			if k > endKey {
-				continue
-			}
-			t.mm.Access(pg.Addr+uint64(t.cTidPos(off, i)), 4)
-			t.mm.Busy(memsim.CostEntryVisit)
-			count++
-			if fn != nil && !fn(k, t.cTid(d, off, i)) {
-				return true, count, nil
-			}
+		if s.node(pg, t.cKeyPos(off, 0), t.capL, from, slots, gapped) {
+			return true, nil
 		}
 	}
-	return false, count, nil
+	return false, nil
 }

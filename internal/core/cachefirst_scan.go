@@ -39,7 +39,7 @@ func (t *CacheFirst) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.Tu
 		}
 	}
 
-	count := 0
+	s := nodeScan{mm: t.mm, lo: startKey, hi: endKey, fn: fn}
 	pfNext, pageIdx := 0, -1
 	var pg buffer.Page
 	var lastPID uint32
@@ -49,7 +49,7 @@ func (t *CacheFirst) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.Tu
 			if t.jpaOn {
 				for pfNext < len(pids) && pfNext <= pageIdx+1+t.pfWindow {
 					if err := t.pool.Prefetch(pids[pfNext]); err != nil {
-						return count, err
+						return s.count, err
 					}
 					pfNext++
 				}
@@ -58,7 +58,7 @@ func (t *CacheFirst) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.Tu
 				t.pool.Unpin(pg, false)
 			}
 			if pg, err = t.pool.Get(cur.pid); err != nil {
-				return count, err
+				return s.count, err
 			}
 			lastPID = cur.pid
 			pageIdx++
@@ -75,44 +75,22 @@ func (t *CacheFirst) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.Tu
 			t.mm.Busy(memsim.CostNodeVisit)
 		}
 		d := pg.Data
-		i := 0
+		from := 0
 		if first {
 			slot, _ := t.searchNode(pg, cur.off, startKey, true)
-			i = slot + 1
+			from = slot + 1
 			first = false
 		}
-		gapped := t.gappedLeafPage(d)
-		cnt := t.cSlots(d, cur.off)
-		for ; i < cnt; i++ {
-			// Skip gap slots before the end-of-range check: the sentinel
-			// is the max key and would falsely terminate the scan.
-			if gapped && t.cKey(d, cur.off, i) == gapSentinel {
-				continue
-			}
-			t.mm.Access(pg.Addr+uint64(t.cKeyPos(cur.off, i)), 4)
-			k := t.cKey(d, cur.off, i)
-			if k > endKey {
-				t.pool.Unpin(pg, false)
-				return count, nil
-			}
-			if k < startKey {
-				continue
-			}
-			t.mm.Access(pg.Addr+uint64(t.cTidPos(cur.off, i)), 4)
-			t.mm.Busy(memsim.CostEntryVisit)
-			tid := t.cTid(d, cur.off, i)
-			count++
-			if fn != nil && !fn(k, tid) {
-				t.pool.Unpin(pg, false)
-				return count, nil
-			}
+		if s.node(pg, t.cKeyPos(cur.off, 0), t.capL, from, t.cSlots(d, cur.off), t.gappedLeafPage(d)) {
+			t.pool.Unpin(pg, false)
+			return s.count, nil
 		}
 		cur = t.cNextLeaf(d, cur.off)
 	}
 	if pg.Valid() {
 		t.pool.Unpin(pg, false)
 	}
-	return count, nil
+	return s.count, nil
 }
 
 func (t *CacheFirst) touchPageHeader(pg buffer.Page) {

@@ -106,8 +106,9 @@ type DiskFirstConfig struct {
 // DiskFirst is a disk-first fpB+-Tree. At page granularity it is the
 // disk-optimized B+-Tree (§3.1), so the page-level protocol — root and
 // leftmost-leaf state, descent to a leaf page, serial and crabbing
-// insert, batch descent, scavenge, durable meta — is the embedded
-// pagetree.Tree; this type supplies the in-page trees as its Layout.
+// insert, batch descent, the range-scan walk, scavenge, durable meta —
+// is the embedded pagetree.Tree; this type supplies the in-page trees
+// as its Layout.
 type DiskFirst struct {
 	pagetree.Tree
 
@@ -122,10 +123,7 @@ type DiskFirst struct {
 	fanout     int // max entries per page (Table 2 "page fan-out")
 	leafNodes  int // in-page leaf nodes per page in the canonical layout
 
-	jpa       bool
-	pfWindow  int
-	overshoot bool // ablation: prefetch past the end page
-	gapped    bool // leaf-page leaf nodes keep interleaved gap slots
+	gapped bool // leaf-page leaf nodes keep interleaved gap slots
 
 	tr  *obs.Tracer
 	ops idx.AtomicOpStats
@@ -162,10 +160,6 @@ func NewDiskFirst(cfg DiskFirstConfig) (*DiskFirst, error) {
 	if levels == 0 {
 		return nil, fmt.Errorf("core: widths %d/%d lines do not fit a %d-byte page", w, x, ps)
 	}
-	pf := cfg.PrefetchWindow
-	if pf <= 0 {
-		pf = 16
-	}
 	t := &DiskFirst{
 		pool:      cfg.Pool,
 		mm:        cfg.Model,
@@ -177,13 +171,10 @@ func NewDiskFirst(cfg DiskFirstConfig) (*DiskFirst, error) {
 		capL:      sizing.DiskFirstLeafCap(x),
 		fanout:    leaves * sizing.DiskFirstLeafCap(x),
 		leafNodes: leaves,
-		jpa:       cfg.EnableJPA,
-		pfWindow:  pf,
-		overshoot: cfg.NoOvershootProtection,
 		gapped:    cfg.GappedLeaves,
 		tr:        cfg.Trace,
 	}
-	t.Init(cfg.Pool, t, cfg.Model)
+	t.Init(cfg.Pool, t, cfg.Model, cfg.EnableJPA, cfg.PrefetchWindow, cfg.NoOvershootProtection)
 	return t, nil
 }
 

@@ -1,173 +1,134 @@
 package core
 
 import (
+	"repro/internal/buffer"
 	"repro/internal/idx"
 	"repro/internal/memsim"
 )
 
-// RangeScan implements idx.Index. With JPA enabled (§3.3):
+// RangeScan implements idx.Index. The page walk is pagetree.Scan; with
+// JPA enabled (§3.3) it prefetches at two granularities:
 //
 //   - I/O granularity: the in-page leaf nodes of leaf-parent pages form
 //     a jump-pointer array over the leaf pages (sibling links within a
 //     page are node offsets; across pages they live in page headers).
-//     The scan locates the range's end page first so prefetching never
+//     The walk locates the range's end page first so prefetching never
 //     overshoots, then keeps PrefetchWindow leaf pages in flight.
 //
-//   - Cache granularity: on entering a leaf page the scan prefetches
+//   - Cache granularity: on entering a leaf page ScanLeaf prefetches
 //     the page's in-page nodes (the used line region), so consuming
 //     entries proceeds at pipelined- rather than full-miss latency.
 func (t *DiskFirst) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.TupleID) bool) (int, error) {
 	t.ops.Scans.Add(1)
-	root, height := t.RootHeight()
-	if root == 0 || startKey > endKey {
-		return 0, nil
-	}
-	startLeaf, err := t.LeafFor(root, height, startKey, true)
-	if err != nil {
-		return 0, err
-	}
-	var pids []uint32
-	if t.jpa && height > 1 {
-		endLeaf, err := t.LeafFor(root, height, endKey, false)
-		if err != nil {
-			return 0, err
-		}
-		if pids, err = t.leafPagesBetween(root, height, startKey, startLeaf, endLeaf); err != nil {
-			return 0, err
-		}
-	}
-
-	count := 0
-	pfNext, pageIdx := 0, 0
-	pid := startLeaf
-	first := true
-	for pid != 0 {
-		if t.jpa {
-			for pfNext < len(pids) && pfNext <= pageIdx+t.pfWindow {
-				if err := t.pool.Prefetch(pids[pfNext]); err != nil {
-					return count, err
-				}
-				pfNext++
-			}
-		}
-		pg, err := t.pool.Get(pid)
-		if err != nil {
-			return count, err
-		}
-		t.TouchHeader(pg)
-		d := pg.Data
-		if t.jpa {
-			// Cache-granularity prefetch of the page's node region.
-			t.mm.Prefetch(pg.Addr+lineSize, (dfNextFree(d)-1)*lineSize)
-		}
-		off := dfFirstLeaf(d)
-		i := 0
-		if first {
-			off = t.descendInPage(pg, startKey, true, nil)
-			t.visitLeaf(pg, off)
-			slot, _ := t.searchLeafNode(pg, off, startKey, true)
-			i = slot + 1
-			first = false
-		}
-		for off != 0 {
-			if !t.jpa {
-				t.visitLeaf(pg, off)
-			} else {
-				t.mm.Access(pg.Addr+uint64(nodeBase(off)), dfLeafHdr)
-				t.mm.Busy(memsim.CostNodeVisit)
-			}
-			gapped := t.gappedLeafPage(d)
-			cnt := t.lSlots(d, off)
-			for ; i < cnt; i++ {
-				// Gap slots hold the sentinel (the max key); skip them
-				// before the end-of-range check or they would falsely
-				// terminate the scan.
-				if gapped && t.lKey(d, off, i) == gapSentinel {
-					continue
-				}
-				t.mm.Access(pg.Addr+uint64(t.lKeyPos(off, i)), 4)
-				k := t.lKey(d, off, i)
-				if k > endKey {
-					t.pool.Unpin(pg, false)
-					return count, nil
-				}
-				if k < startKey {
-					continue
-				}
-				t.mm.Access(pg.Addr+uint64(t.lPtrPos(off, i)), 4)
-				t.mm.Busy(memsim.CostEntryVisit)
-				tid := t.lPtr(d, off, i)
-				count++
-				if fn != nil && !fn(k, tid) {
-					t.pool.Unpin(pg, false)
-					return count, nil
-				}
-			}
-			off = t.lNext(d, off)
-			i = 0
-		}
-		next := dfNextPage(d)
-		t.pool.Unpin(pg, false)
-		pid = next
-		pageIdx++
-	}
-	return count, nil
+	return t.Scan(startKey, endKey, false, fn)
 }
 
-// leafPagesBetween collects leaf page IDs from startLeaf through
-// endLeaf by walking the in-page leaf-node chains of the leaf-parent
-// pages (the I/O jump-pointer array).
-func (t *DiskFirst) leafPagesBetween(root uint32, height int, startKey idx.Key, startLeaf, endLeaf uint32) ([]uint32, error) {
-	pid := root
-	for lvl := height - 1; lvl > 1; lvl-- {
-		pg, err := t.pool.Get(pid)
-		if err != nil {
-			return nil, err
-		}
-		t.TouchHeader(pg)
-		child := t.ChildFor(pg, startKey, true)
-		t.pool.Unpin(pg, false)
-		pid = child
+// RangeScanReverse implements idx.Index: descending order via the
+// page-level prev links; within a page the forward-only in-page leaf
+// chain is collected once and consumed backwards.
+func (t *DiskFirst) RangeScanReverse(startKey, endKey idx.Key, fn func(idx.Key, idx.TupleID) bool) (int, error) {
+	t.ops.ReverseScans.Add(1)
+	return t.Scan(startKey, endKey, true, fn)
+}
+
+// ScanLeaf implements pagetree.Layout.
+func (t *DiskFirst) ScanLeaf(pg buffer.Page, lo, hi idx.Key, reverse, seek bool, fn func(idx.Key, idx.TupleID) bool) (int, bool) {
+	d := pg.Data
+	jpa := t.JPA()
+	if jpa {
+		// Cache-granularity prefetch of the page's node region.
+		t.mm.Prefetch(pg.Addr+lineSize, (dfNextFree(d)-1)*lineSize)
 	}
-	var pids []uint32
-	started := false
-	for pid != 0 {
-		pg, err := t.pool.Get(pid)
-		if err != nil {
-			return nil, err
-		}
-		d := pg.Data
-		t.TouchHeader(pg)
+	// The in-page leaf chain links forward only: a reverse scan collects
+	// it once, behind a 0 that ends the backward walk. A page of the
+	// paper's sizes has a few dozen leaf nodes, so the buffer stays on
+	// the stack.
+	var buf [128]uint16
+	chain := append(buf[:0], 0)
+	if reverse {
 		for off := dfFirstLeaf(d); off != 0; off = t.lNext(d, off) {
+			chain = append(chain, uint16(off))
+		}
+	}
+	at := len(chain) - 1 // reverse: the current node's place in chain
+	off, from := dfFirstLeaf(d), 0
+	if reverse {
+		off = int(chain[at])
+	}
+	if seek {
+		// Start at the first entry >= lo, in reverse at the last <= hi.
+		k := lo
+		if reverse {
+			k = hi
+		}
+		off = t.descendInPage(pg, k, !reverse, nil)
+		t.visitLeaf(pg, off)
+		from, _ = t.searchLeafNode(pg, off, k, !reverse)
+		if !reverse {
+			from++
+		}
+		for at > 0 && int(chain[at]) != off {
+			at--
+		}
+	}
+	s := nodeScan{mm: t.mm, lo: lo, hi: hi, reverse: reverse, fn: fn}
+	gapped := t.gappedLeafPage(d)
+	for ; off != 0; seek = false {
+		if !jpa {
+			t.visitLeaf(pg, off)
+		} else {
+			// The node was prefetched with its page: a lighter visit.
 			t.mm.Access(pg.Addr+uint64(nodeBase(off)), dfLeafHdr)
-			cnt := t.lCount(d, off)
-			for i := 0; i < cnt; i++ {
-				child := t.lPtr(d, off, i)
-				if child == startLeaf {
-					started = true
+			t.mm.Busy(memsim.CostNodeVisit)
+		}
+		slots := t.lSlots(d, off)
+		switch {
+		case seek: // from is where the search landed
+		case reverse:
+			from = slots - 1
+		default:
+			from = 0
+		}
+		if s.node(pg, t.lKeyPos(off, 0), t.capL, from, slots, gapped) {
+			return s.count, true
+		}
+		if reverse {
+			at = max(at-1, 0)
+			off = int(chain[at])
+		} else {
+			off = t.lNext(d, off)
+		}
+	}
+	return s.count, false
+}
+
+// JumpPointers implements pagetree.Layout: the in-page leaf nodes of a
+// leaf-parent page, in chain order, are its chunk of the I/O
+// jump-pointer array.
+func (t *DiskFirst) JumpPointers(pg buffer.Page, first, last uint32, extra int, dst []uint32) ([]uint32, bool) {
+	d := pg.Data
+	for off := dfFirstLeaf(d); off != 0; off = t.lNext(d, off) {
+		t.mm.Access(pg.Addr+uint64(nodeBase(off)), dfLeafHdr)
+		cnt := t.lCount(d, off)
+		for i := 0; i < cnt; i++ {
+			child := t.lPtr(d, off, i)
+			if first != 0 && child != first {
+				continue
+			}
+			first = 0
+			t.mm.Access(pg.Addr+uint64(t.lPtrPos(off, i)), 4)
+			dst = append(dst, child)
+			if child == last {
+				// The ablation runs on to the end of this in-page node.
+				for j := i + 1; j < cnt && j <= i+extra; j++ {
+					dst = append(dst, t.lPtr(d, off, j))
 				}
-				if started {
-					t.mm.Access(pg.Addr+uint64(t.lPtrPos(off, i)), 4)
-					pids = append(pids, child)
-					if child == endLeaf {
-						if t.overshoot {
-							// Ablation: keep collecting a full window
-							// past the end page.
-							overshootLeft := t.pfWindow
-							for j := i + 1; j < cnt && overshootLeft > 0; j++ {
-								pids = append(pids, t.lPtr(d, off, j))
-								overshootLeft--
-							}
-						}
-						t.pool.Unpin(pg, false)
-						return pids, nil
-					}
-				}
+				return dst, true
 			}
 		}
-		next := dfJPNext(d)
-		t.pool.Unpin(pg, false)
-		pid = next
 	}
-	return pids, nil
+	return dst, false
 }
+
+// Prev implements pagetree.Layout.
+func (t *DiskFirst) Prev(d []byte) uint32 { return dfPrevPage(d) }

@@ -225,3 +225,29 @@ func TestDiskFirstSpaceOverheadModest(t *testing.T) {
 		t.Fatalf("disk-first uses %d pages vs ~%d baseline", got, baselinePages)
 	}
 }
+
+// TestDiskFirstReverseScanAllocs: the reverse scan walks each page's
+// forward-only in-page leaf chain from a buffer on its stack, so a warm
+// scan allocates the same whether it crosses two pages or sixty.
+func TestDiskFirstReverseScanAllocs(t *testing.T) {
+	env := treetest.NewEnv(4<<10, 256)
+	tr, err := NewDiskFirst(DiskFirstConfig{Pool: env.Pool, Model: env.Model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := treetest.GenEntries(100*tr.Fanout(), 10, 2)
+	if err := tr.Bulkload(es, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(pages int) float64 {
+		lo, hi := es[20*tr.Fanout()].Key, es[(20+pages)*tr.Fanout()].Key
+		return testing.AllocsPerRun(20, func() {
+			if n, err := tr.RangeScanReverse(lo, hi, nil); err != nil || n != pages*tr.Fanout()+1 {
+				t.Fatalf("scan over %d pages = (%d, %v)", pages, n, err)
+			}
+		})
+	}
+	if short, long := allocs(2), allocs(60); long != short {
+		t.Fatalf("a reverse scan over 60 pages allocates %v times, over 2 pages %v", long, short)
+	}
+}

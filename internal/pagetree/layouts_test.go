@@ -12,22 +12,23 @@ import (
 	"repro/internal/pagetree"
 )
 
-// layoutRows is every Layout the protocol serves.
+// layoutRows is every Layout the protocol serves. window > 0 turns
+// jump-pointer prefetching on with that many leaf pages in flight.
 var layoutRows = []struct {
 	name string
-	make func(pool *buffer.Pool, mm *memsim.Model) (pagetree.Layout, error)
+	make func(pool *buffer.Pool, mm *memsim.Model, window int) (pagetree.Layout, error)
 }{
-	{"plain", func(p *buffer.Pool, mm *memsim.Model) (pagetree.Layout, error) {
-		return bptree.New(bptree.Config{Pool: p, Model: mm})
+	{"plain", func(p *buffer.Pool, mm *memsim.Model, w int) (pagetree.Layout, error) {
+		return bptree.New(bptree.Config{Pool: p, Model: mm, EnableJPA: w > 0, PrefetchWindow: w})
 	}},
-	{"micro", func(p *buffer.Pool, mm *memsim.Model) (pagetree.Layout, error) {
-		return bptree.New(bptree.Config{Pool: p, Model: mm, MicroIndex: true})
+	{"micro", func(p *buffer.Pool, mm *memsim.Model, w int) (pagetree.Layout, error) {
+		return bptree.New(bptree.Config{Pool: p, Model: mm, MicroIndex: true, EnableJPA: w > 0, PrefetchWindow: w})
 	}},
-	{"disk-first", func(p *buffer.Pool, mm *memsim.Model) (pagetree.Layout, error) {
-		return core.NewDiskFirst(core.DiskFirstConfig{Pool: p, Model: mm})
+	{"disk-first", func(p *buffer.Pool, mm *memsim.Model, w int) (pagetree.Layout, error) {
+		return core.NewDiskFirst(core.DiskFirstConfig{Pool: p, Model: mm, EnableJPA: w > 0, PrefetchWindow: w})
 	}},
-	{"disk-first-gapped", func(p *buffer.Pool, mm *memsim.Model) (pagetree.Layout, error) {
-		return core.NewDiskFirst(core.DiskFirstConfig{Pool: p, Model: mm, GappedLeaves: true})
+	{"disk-first-gapped", func(p *buffer.Pool, mm *memsim.Model, w int) (pagetree.Layout, error) {
+		return core.NewDiskFirst(core.DiskFirstConfig{Pool: p, Model: mm, GappedLeaves: true, EnableJPA: w > 0, PrefetchWindow: w})
 	}},
 }
 
@@ -41,7 +42,7 @@ func TestChildForOptAgrees(t *testing.T) {
 		mm := memsim.NewDefault()
 		pool := buffer.NewPool(buffer.NewMemStore(4<<10), 4)
 		pool.AttachModel(mm)
-		lay, err := row.make(pool, mm)
+		lay, err := row.make(pool, mm, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func TestSafeImpliesInsertFits(t *testing.T) {
 					mm := memsim.NewDefault()
 					pool := buffer.NewPool(buffer.NewMemStore(pageSize), 4)
 					pool.AttachModel(mm)
-					lay, err := row.make(pool, mm)
+					lay, err := row.make(pool, mm, 0)
 					if err != nil {
 						t.Fatal(err)
 					}

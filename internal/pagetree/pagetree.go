@@ -9,9 +9,10 @@
 // state, the descent to a leaf page (latched and latch-free), the
 // serial insert with its root grow, the leaf-only write and the
 // exclusive latch crabbing behind it, the level-wise batch descent, the
-// level and leaf-chain walks, scavenge and the durable meta. What a
-// page holds, how it is searched and how it splits is the Layout's
-// business; this package never looks inside a page and never asks
+// range scan in both directions with its jump-pointer prefetch window
+// (scan.go), the level walk, scavenge and the durable meta. What a page
+// holds, how it is searched, scanned and split is the Layout's business
+// (17 methods); this package never looks inside a page and never asks
 // which layout it serves.
 package pagetree
 
@@ -69,8 +70,28 @@ type Layout interface {
 	// SalvageLeaf appends the entries of a leaf page to dst in key
 	// order; ok=false means the bytes are not a plausible leaf page.
 	SalvageLeaf(d []byte, dst []idx.Entry) (out []idx.Entry, ok bool)
-	// Next reads the page's right sibling at its level (0 = none).
+	// Next reads the page's right sibling at its level (0 = none). On a
+	// nonleaf page it is also the jump-pointer link to the level's next
+	// chunk.
 	Next(d []byte) uint32
+	// Prev reads the page's left sibling at its level (0 = none). A
+	// split fixes its right neighbour's Prev last, under that page's own
+	// latch, so a concurrent reader may see the page split from.
+	Prev(d []byte) uint32
+	// ScanLeaf delivers the entries of the pinned leaf page pg whose
+	// keys lie in [lo, hi] to fn (nil: only counted), ascending or, with
+	// reverse, descending, and returns how many. done reports that the
+	// scan is over: fn returned false, or a key beyond the far bound was
+	// met. seek positions with the in-page search — on the scan's first
+	// page — instead of starting at the page's end.
+	ScanLeaf(pg buffer.Page, lo, hi idx.Key, reverse, seek bool, fn func(idx.Key, idx.TupleID) bool) (n int, done bool)
+	// JumpPointers appends to dst the leaf page IDs the pinned
+	// leaf-parent page pg holds, in key order, starting at first (0:
+	// at the page's first child) and stopping after last, which done
+	// reports; the reads are charged as jump-pointer array traffic.
+	// extra > 0 is the §2.2 overshoot ablation: up to that many IDs
+	// stored contiguously after last are appended too.
+	JumpPointers(pg buffer.Page, first, last uint32, extra int, dst []uint32) (out []uint32, done bool)
 	// FirstChild reads a nonleaf page's leftmost child (0 = empty page).
 	FirstChild(d []byte) uint32
 }
@@ -97,17 +118,35 @@ type Tree struct {
 	conc   bool
 	growMu sync.Mutex // serializes first-root creation
 
+	// Range scans (scan.go): jump-pointer prefetching on or off, how
+	// many leaf pages it keeps in flight, and the ablation that lets it
+	// run past the range's end page.
+	jpa       bool
+	pfWindow  int
+	overshoot bool
+
 	batch idx.BatchScratch
 }
 
 // Init binds the protocol to its pool, its layout and the model, which
-// is only ever asked whether the tree is serving (see Opt).
-func (t *Tree) Init(pool *buffer.Pool, lay Layout, mm *memsim.Model) {
+// is only ever asked whether the tree is serving (see Opt), and fixes
+// how range scans prefetch: jpa turns the jump-pointer array on, window
+// is the number of leaf pages kept in flight (<= 0: 16), overshoot the
+// ablation that prefetches a window past the end page.
+func (t *Tree) Init(pool *buffer.Pool, lay Layout, mm *memsim.Model, jpa bool, window int, overshoot bool) {
 	t.pool = pool
 	t.lay = lay
 	t.mm = mm
 	t.conc = pool.Latches() != nil
+	if window <= 0 {
+		window = 16
+	}
+	t.jpa, t.pfWindow, t.overshoot = jpa, window, overshoot
 }
+
+// JPA reports whether range scans prefetch through the jump-pointer
+// array; a layout with cache-granularity prefetch keys it on this too.
+func (t *Tree) JPA() bool { return t.jpa }
 
 // Conc reports whether the tree runs under the per-page latch protocol.
 func (t *Tree) Conc() bool { return t.conc }

@@ -29,9 +29,14 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden")
 //	byte 1  count
 //	byte 4  next  uint32
 //	byte 8  entries: key uint32, ptr uint32
+//	byte 40 prev  uint32 (with links)
 type fake struct {
 	Tree
 	pool *buffer.Pool
+	// links makes splits keep the prev links a reverse scan walks. It
+	// costs a split one more Get, on the right sibling; off, a split's
+	// pool traffic is what testdata/serial_insert.golden recorded.
+	links bool
 	// tr, when set, receives one event per hook call (A = hook, B =
 	// pinned pages at the call) between the pool's own Get events.
 	tr     *obs.Tracer
@@ -58,10 +63,23 @@ var hookNames = [...]string{hookTouch: "touch", hookChildForInsert: "child-for-i
 // the race detector, inserts take the leaf-only path when they can.
 func newFake(pool *buffer.Pool) *fake {
 	f := &fake{pool: pool}
+	f.init(0, false)
+	return f
+}
+
+// NewScanFake is newFake for range scans, here and in package
+// pagetree_test: splits keep prev links, window > 0 turns jump-pointer
+// prefetching on, overshoot is the ablation.
+func NewScanFake(pool *buffer.Pool, window int, overshoot bool) *fake {
+	f := &fake{pool: pool, links: true}
+	f.init(window, overshoot)
+	return f
+}
+
+func (f *fake) init(window int, overshoot bool) {
 	mm := memsim.NewDefault()
 	mm.SetConcurrent(true)
-	f.Init(pool, f, mm)
-	return f
+	f.Init(f.pool, f, mm, window > 0, window, overshoot)
 }
 
 var le = binary.LittleEndian
@@ -142,6 +160,18 @@ func (f *fake) SplitPage(pg buffer.Page) (idx.Key, uint32, error) {
 	copy(nd[4:8], d[4:8])
 	d[1] = byte(mid)
 	le.PutUint32(d[4:], np.ID)
+	if right := f.Next(nd); f.links && right != 0 {
+		// Like the real layouts: the right sibling's prev is fixed last,
+		// under its own latch, with pg and the new page still held.
+		rp, err := f.GetWrite(right)
+		if err != nil {
+			f.pool.Unpin(np, true)
+			return 0, 0, err
+		}
+		le.PutUint32(rp.Data[40:], np.ID)
+		f.pool.Unpin(rp, true)
+	}
+	le.PutUint32(nd[40:], pg.ID)
 	f.pool.Unpin(np, true)
 	return fKey(nd, 0), np.ID, nil
 }
@@ -157,6 +187,55 @@ func (f *fake) InitRoot(d []byte, _ int, leftMin idx.Key, left uint32, sep idx.K
 
 func (f *fake) MinKey(d []byte) idx.Key { return fKey(d, 0) }
 func (f *fake) Next(d []byte) uint32    { return le.Uint32(d[4:]) }
+func (f *fake) Prev(d []byte) uint32    { return le.Uint32(d[40:]) }
+
+func (f *fake) ScanLeaf(pg buffer.Page, lo, hi idx.Key, reverse, _ bool, fn func(idx.Key, idx.TupleID) bool) (int, bool) {
+	d, n := pg.Data, 0
+	for j := 0; j < fCount(d); j++ {
+		i := j
+		if reverse {
+			i = fCount(d) - 1 - j
+		}
+		k := fKey(d, i)
+		if k < lo || k > hi {
+			if (k < lo) == reverse {
+				return n, true
+			}
+			continue
+		}
+		n++
+		if fn != nil && !fn(k, fPtr(d, i)) {
+			return n, true
+		}
+	}
+	return n, false
+}
+
+func (f *fake) JumpPointers(pg buffer.Page, first, last uint32, extra int, dst []uint32) ([]uint32, bool) {
+	d := pg.Data
+	for i := 0; i < fCount(d); i++ {
+		if first != 0 && fPtr(d, i) != first {
+			continue
+		}
+		first = 0
+		dst = append(dst, fPtr(d, i))
+		if fPtr(d, i) == last {
+			for j := i + 1; j < fCount(d) && j <= i+extra; j++ {
+				dst = append(dst, fPtr(d, j))
+			}
+			return dst, true
+		}
+	}
+	return dst, false
+}
+
+func (f *fake) RangeScan(lo, hi idx.Key, fn func(idx.Key, idx.TupleID) bool) (int, error) {
+	return f.Scan(lo, hi, false, fn)
+}
+
+func (f *fake) RangeScanReverse(lo, hi idx.Key, fn func(idx.Key, idx.TupleID) bool) (int, error) {
+	return f.Scan(lo, hi, true, fn)
+}
 
 func (f *fake) FirstChild(d []byte) uint32 {
 	if fCount(d) == 0 {
@@ -199,8 +278,8 @@ func (f *fake) SalvageLeaf(d []byte, dst []idx.Entry) ([]idx.Entry, bool) {
 	return dst, true
 }
 
-// rebuild is the fake's Bulkload.
-func (f *fake) rebuild(entries []idx.Entry, _ float64) error {
+// Bulkload rebuilds the tree by inserting the entries one by one.
+func (f *fake) Bulkload(entries []idx.Entry, _ float64) error {
 	if err := f.FreeAll(); err != nil {
 		return err
 	}
@@ -547,7 +626,7 @@ func TestScavengeFreeAllMeta(t *testing.T) {
 	}
 	g.check(t, want)
 
-	st, err := f.Scavenge(f.rebuild)
+	st, err := f.Scavenge(f.Bulkload)
 	if err != nil || st.Truncated || st.Entries != len(want) {
 		t.Fatalf("Scavenge = %+v, %v; want all %d entries", st, err, len(want))
 	}
@@ -574,7 +653,7 @@ func TestScavengeFreeAllMeta(t *testing.T) {
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	st, err = f.Scavenge(f.rebuild)
+	st, err = f.Scavenge(f.Bulkload)
 	if err != nil || !st.Truncated || st.LeavesRead != 3 || st.Entries != kept {
 		t.Fatalf("Scavenge over a damaged chain = %+v, %v; want 3 leaves, %d entries, truncated", st, err, kept)
 	}
