@@ -422,9 +422,9 @@ func New(options ...Option) (*Tree, error) {
 	var pool *buffer.Pool
 	if o.Concurrency >= 1 {
 		// Sharded, latched pool sized ~2 shards per goroutine (rounded
-		// to a power of two by the pool, capped at 64 to bound the fast
-		// tables). The memory simulator is frozen: per-access charging
-		// is not meaningful when several goroutines interleave.
+		// to a power of two by the pool, capped at 64). The memory
+		// simulator is frozen: per-access charging is not meaningful
+		// when several goroutines interleave.
 		shards := 2 * o.Concurrency
 		if shards > 64 {
 			shards = 64

@@ -93,3 +93,89 @@ func TestLockedGetCounter(t *testing.T) {
 		t.Errorf("warm Gets moved locked_gets from %d to %d; the fast path must stay lock-free", after, got)
 	}
 }
+
+// TestTableLookupCounter: pool.shard.table_lookups counts the pid→frame
+// translations made under the shard mutex — a miss makes one, warm Gets
+// and optimistic reads of resident pages make none — and the miss path
+// that bumps it allocates nothing.
+func TestTableLookupCounter(t *testing.T) {
+	p := NewConcurrentPool(NewMemStore(512), 2, 1)
+	reg := obs.NewRegistry()
+	p.RegisterMetrics(reg)
+	lookups := func() uint64 { return reg.Snapshot().Counters["pool.shard.table_lookups"] }
+	pids := coldPages(t, p, 3)
+
+	pg, err := p.Get(pids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(pg, false)
+	after := lookups()
+	if after != 1 {
+		t.Fatalf("one cold Get counted %d table_lookups, want 1", after)
+	}
+	for i := 0; i < 16; i++ {
+		if pg, err = p.Get(pids[0]); err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(pg, false)
+		if p.OptSupported() {
+			if _, ok := p.ReadOpt(pids[0]); !ok {
+				t.Fatal("ReadOpt of a resident page failed")
+			}
+		}
+	}
+	if got := lookups(); got != after {
+		t.Errorf("warm Gets and ReadOpts moved table_lookups from %d to %d; they must not take the shard mutex", after, got)
+	}
+
+	// Three pages round-robin through two frames: every Get misses.
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		pg, err := p.Get(pids[i%3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(pg, false)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("a miss (claim, unlocked read, publish) allocates %v times per run, want 0", allocs)
+	}
+	if got := lookups(); got < after+200 {
+		t.Errorf("200 misses moved table_lookups by %d", got-after)
+	}
+}
+
+// TestInflightWaitCounter: pool.shard.inflight_waits counts a Get that
+// found its page being read in by another goroutine and waited for
+// that read; the Get doing the read counts nothing.
+func TestInflightWaitCounter(t *testing.T) {
+	store := newGateStore(512)
+	p := NewConcurrentPool(store, 4, 1)
+	reg := obs.NewRegistry()
+	p.RegisterMetrics(reg)
+	waits := func() uint64 { return reg.Snapshot().Counters["pool.shard.inflight_waits"] }
+	x := coldPages(t, p, 1)[0]
+
+	release := store.hold(x)
+	defer release()
+	a := goGet(p, x)
+	await(t, "Get(X) entering the store", store.entered)
+	if got := waits(); got != 0 {
+		t.Fatalf("the reading Get counted %d inflight_waits", got)
+	}
+	b := goGet(p, x)
+	awaitWaiters(t, p, 1)
+	release()
+	for _, ch := range []<-chan getResult{a, b} {
+		r := await(t, "Get(X)", ch)
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		p.Unpin(r.pg, false)
+	}
+	if got := waits(); got != 1 {
+		t.Errorf("inflight_waits = %d after one waiting Get, want 1", got)
+	}
+}

@@ -6,19 +6,24 @@ import (
 	"testing"
 )
 
-// checkFastConsistent asserts every non-empty fast slot in every shard
-// points at a valid frame that really holds that pid — the invariant
-// eviction, FreePage and DiscardAll must maintain by clearing slots.
+// checkFastConsistent asserts every non-empty table slot in every shard
+// points at a valid frame that really holds that pid, that a probe from
+// the pid's home slot reaches it, and that the shard's entry count is
+// right — the invariants eviction, FreePage and DiscardAll must
+// maintain when they remove entries. Call it on a quiet pool (no read
+// in flight).
 func checkFastConsistent(t *testing.T, p *Pool, when string) {
 	t.Helper()
 	for s := range p.shards {
 		sh := &p.shards[s]
 		sh.mu.Lock()
-		for slot := range sh.fast {
-			packed := sh.fast[slot].Load()
+		entries := 0
+		for slot := range sh.slots {
+			packed := sh.slots[slot].Load()
 			if packed == 0 {
 				continue
 			}
+			entries++
 			pid := uint32(packed >> 32)
 			i := int(uint32(packed)) - 1
 			if i < 0 || i >= len(sh.frames) {
@@ -28,16 +33,22 @@ func checkFastConsistent(t *testing.T, p *Pool, when string) {
 			f := &sh.frames[i]
 			if f.state.Load()&frameValidBit == 0 {
 				sh.mu.Unlock()
-				t.Fatalf("%s: shard %d fast slot for page %d points at an invalid frame", when, s, pid)
+				t.Fatalf("%s: shard %d slot for page %d points at an invalid frame", when, s, pid)
 			}
 			if got := f.pid.Load(); got != pid {
 				sh.mu.Unlock()
-				t.Fatalf("%s: shard %d fast slot says page %d but frame holds %d", when, s, pid, got)
+				t.Fatalf("%s: shard %d slot says page %d but frame holds %d", when, s, pid, got)
 			}
-			if ti, ok := sh.table[pid]; !ok || ti != i {
+			si, home := p.locate(pid)
+			if ti, ok := sh.lookup(pid, home); int(si) != s || !ok || ti != i {
 				sh.mu.Unlock()
-				t.Fatalf("%s: shard %d fast slot for page %d disagrees with table (%d, %v)", when, s, pid, ti, ok)
+				t.Fatalf("%s: shard %d slot %d for page %d: a probe from (shard %d, slot %d) finds (%d, %v), want frame %d",
+					when, s, slot, pid, si, home, ti, ok, i)
 			}
+		}
+		if entries != sh.resident {
+			sh.mu.Unlock()
+			t.Fatalf("%s: shard %d holds %d entries, counts %d", when, s, entries, sh.resident)
 		}
 		sh.mu.Unlock()
 	}
@@ -115,11 +126,7 @@ func TestFastPathStaleHitAfterEvict(t *testing.T) {
 		q.Data[0] = 0xBB
 		p.Unpin(q, true)
 	}
-	sh := &p.shards[0]
-	sh.mu.Lock()
-	_, resident := sh.table[aID]
-	sh.mu.Unlock()
-	if resident {
+	if p.Contains(aID) {
 		t.Fatal("page A still resident; eviction did not happen")
 	}
 	checkFastConsistent(t, p, "after evicting A")
@@ -135,7 +142,7 @@ func TestFastPathStaleHitAfterEvict(t *testing.T) {
 }
 
 // TestFastPathDiscardAllInvalidates checks the checksum-failure discard
-// path (DiscardAll) clears every fast slot in every shard, so nothing
+// path (DiscardAll) clears every table slot in every shard, so nothing
 // can pin a frame whose contents were thrown away.
 func TestFastPathDiscardAllInvalidates(t *testing.T) {
 	p := NewConcurrentPool(NewMemStore(512), 32, 4)
@@ -157,9 +164,9 @@ func TestFastPathDiscardAllInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := range p.shards {
-		for slot := range p.shards[s].fast {
-			if packed := p.shards[s].fast[slot].Load(); packed != 0 {
-				t.Fatalf("shard %d fast slot %d survived DiscardAll: %#x", s, slot, packed)
+		for slot := range p.shards[s].slots {
+			if packed := p.shards[s].slots[slot].Load(); packed != 0 {
+				t.Fatalf("shard %d slot %d survived DiscardAll: %#x", s, slot, packed)
 			}
 		}
 	}
@@ -230,24 +237,62 @@ func TestPoolConcurrentChurn(t *testing.T) {
 	checkFastConsistent(t, p, "after concurrent churn")
 }
 
+// newPageAt burns fresh page IDs until the next one hashes to home slot
+// home of shard si, and allocates that page: how the collision tests
+// get pids that share a home slot whatever the table's size is. The
+// (shard, slot) pair is one multiplicative hash of the pid, so a given
+// pair comes round about once in shards × slots consecutive IDs.
+func newPageAt(t *testing.T, p *Pool, si int32, home uint32) Page {
+	t.Helper()
+	for tries := 0; ; tries++ {
+		if s, h := p.locate(p.MaxPageID() + 1); s == si && h == home {
+			break
+		}
+		if tries > 64*len(p.shards)*len(p.shards[0].slots) {
+			t.Fatalf("no fresh page ID hashes to shard %d slot %d", si, home)
+		}
+		p.AllocPageID()
+	}
+	pg, err := p.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, h := p.locate(pg.ID); s != si || h != home {
+		t.Fatalf("page %d hashes to (%d, %d), want (%d, %d)", pg.ID, s, h, si, home)
+	}
+	return pg
+}
+
 // TestFastPathCollisionsSharded is the sharded version of the
-// direct-mapped collision test: pids that alias the same fast slot in
-// the same shard must still resolve correctly.
+// collision test: pids that share a home slot in the same shard's table
+// — so all but one of them sit displaced along the probe run — must
+// still resolve correctly, among enough other pages to lengthen the
+// runs.
 func TestFastPathCollisionsSharded(t *testing.T) {
 	p := NewConcurrentPool(NewMemStore(512), 2048, 4)
-	// Allocate enough pages that many pairs alias (same shard, same
-	// pid&(fastSize-1)); tag each page with its pid.
-	const pages = 3 * fastSize
-	pids := make([]uint32, pages)
-	for i := range pids {
+	// A quarter of the table's slots as ordinary pages, then sixteen
+	// groups of three pages colliding with one of them; tag each page
+	// with its pid.
+	fill := len(p.shards[0].slots) / 4
+	var pids []uint32
+	add := func(pg Page) {
+		pg.Data[0] = byte(pg.ID)
+		pg.Data[1] = byte(pg.ID >> 8)
+		pids = append(pids, pg.ID)
+		p.Unpin(pg, true)
+	}
+	for i := 0; i < fill; i++ {
 		pg, err := p.NewPage()
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg.Data[0] = byte(pg.ID)
-		pg.Data[1] = byte(pg.ID >> 8)
-		pids[i] = pg.ID
-		p.Unpin(pg, true)
+		add(pg)
+	}
+	for g := 0; g < 16; g++ {
+		si, home := p.locate(pids[g*fill/16])
+		for j := 0; j < 3; j++ {
+			add(newPageAt(t, p, si, home))
+		}
 	}
 	for round := 0; round < 3; round++ {
 		for _, pid := range pids {

@@ -10,10 +10,10 @@ package buffer
 // so "both snapshots unchanged" implies the bytes were stable for the
 // whole window:
 //
-//  1. resolve pid to a frame (fast slot, or a brief shard-mutex table
-//     lookup on a fast miss — no pin, no latch either way)
-//  2. snapshot the frame state word; require valid, no in-flight
-//     prefetch, and f.pid == pid
+//  1. resolve pid to a frame by a lock-free probe of the shard's table
+//     (no mutex, no pin, no latch)
+//  2. snapshot the frame state word; require valid (an in-flight read
+//     is not), no virtual-time prefetch pending, and f.pid == pid
 //  3. sample the latch version; require no exclusive holder
 //  4. caller reads bytes (plain loads only)
 //  5. ValidateOpt: latch version unchanged AND frame epoch/valid bits
@@ -120,28 +120,13 @@ func (p *Pool) ReadOpt(pid uint32) (OptPage, bool) {
 	if pid == 0 || !p.OptSupported() {
 		return OptPage{absent: true}, false
 	}
-	sh := p.shardFor(pid)
-	var i int
-	if packed := sh.fast[pid&(fastSize-1)].Load(); packed != 0 && uint32(packed>>32) == pid {
-		i = int(packed&framePinMask) - 1
-		if i < 0 || i >= len(sh.frames) {
-			return OptPage{}, false
-		}
-	} else {
-		// Fast-slot miss: translate through the shard table. This takes
-		// the shard mutex briefly but still pins and latches nothing,
-		// and it repopulates the fast slot so the page's next optimistic
-		// read is store-free. The holder may be mid-refill: spin for it.
-		latch.SpinLock(&sh.mu)
-		idx, ok := sh.table[pid]
-		if ok {
-			sh.fast[pid&(fastSize-1)].Store(packFast(pid, idx))
-		}
-		sh.mu.Unlock()
-		if !ok {
-			return OptPage{absent: true}, false
-		}
-		i = idx
+	si, home := p.locate(pid)
+	sh := &p.shards[si]
+	// A probe that races a table update can miss a resident page; the
+	// caller's latched Get, whose lookup is exact, then finds it.
+	i, ok := sh.lookup(pid, home)
+	if !ok {
+		return OptPage{absent: true}, false
 	}
 	f := &sh.frames[i]
 	st := f.state.Load()

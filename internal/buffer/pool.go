@@ -51,6 +51,12 @@ type poolStats struct {
 	// off the warm pin path, so instrumenting them is atomic adds only.
 	evictLatchFails atomic.Uint64
 	lockedGets      atomic.Uint64
+	// inflightWaits counts Gets that found their page being read in by
+	// another goroutine and waited for that read; tableLookups counts
+	// pid→frame translations made under a shard mutex (the lock-free
+	// lookup missed, or Prefetch is about to claim a frame).
+	inflightWaits atomic.Uint64
+	tableLookups  atomic.Uint64
 }
 
 // Page is a pinned page handle, passed by value so that pinning never
@@ -74,10 +80,6 @@ type Page struct {
 // not).
 func (pg Page) Valid() bool { return pg.ID != 0 }
 
-// fastSize is the size of the per-shard direct-mapped pid→frame fast
-// path in front of the frame table. Must be a power of two.
-const fastSize = 128
-
 // Frame state word layout: [epoch:31 | valid:1 | pin:32]. The pin count
 // occupies the low 32 bits so a lock-free pin is a bare CAS increment;
 // the epoch increments on every invalidation so a pin CAS that raced an
@@ -91,7 +93,7 @@ const (
 
 // Pool is a CLOCK-replacement buffer pool over a Store. It is built
 // from one or more shards, each with its own frame table, CLOCK hand,
-// mutex, and direct-mapped fast path; page IDs hash to shards. NewPool
+// mutex, and pid→frame table; page IDs hash to shards. NewPool
 // builds a single shard, which preserves the exact single-threaded
 // CLOCK schedule of the sequential simulations; NewConcurrentPool
 // spreads frames over several shards and attaches a per-page latch
@@ -101,8 +103,10 @@ type Pool struct {
 	pageSize int
 	shards   []poolShard
 	// shardShift converts a hashed pid to a shard index (32 means one
-	// shard: every page hashes to shard 0).
+	// shard: every page hashes to shard 0); slotShift converts the hash
+	// bits below those to a home slot in the shard's table (see locate).
 	shardShift  uint32
+	slotShift   uint32
 	totalFrames int
 	mm          *memsim.Model
 	tr          *obs.Tracer
@@ -125,16 +129,26 @@ type Pool struct {
 }
 
 type poolShard struct {
-	mu     sync.Mutex
 	frames []frame
-	table  map[uint32]int
-	// fast is a lock-free direct-mapped cache of recent table lookups
-	// (hot root / upper-level pages hit here without the shard mutex or
-	// the map). Each slot packs pid<<32 | frameIdx+1; entries are
-	// validated against the frame state word and pid before use and are
-	// explicitly cleared when their frame is evicted or discarded.
-	fast [fastSize]atomic.Uint64
-	hand int
+	// slots is the shard's pid→frame table: open addressing with linear
+	// probing over atomic words, each pid<<32 | frameIdx+1 (0 = empty),
+	// at least twice as many as the shard has frames, so a probe ends at
+	// an empty slot after a step or two. Writers (insert, remove) hold
+	// mu; fastPin, ReadOpt and Prefetch probe it with no lock and
+	// validate what they find against the frame (state word, pid,
+	// epoch). A lock-free probe that races a remove's back-shift can
+	// miss an entry that is there — never find one that was not — and a
+	// miss goes to the mutex path, whose probe is exact.
+	slots []atomic.Uint64
+
+	mu sync.Mutex
+	// loaded is broadcast (under mu) whenever an in-flight read of this
+	// shard ends, published or abandoned.
+	loaded sync.Cond
+	hand   int
+	// resident counts the table's entries: valid frames plus in-flight
+	// ones.
+	resident int
 }
 
 type frame struct {
@@ -153,9 +167,86 @@ type frame struct {
 	data []byte
 	// dirty is guarded by the shard mutex (dirtying unpins take it).
 	dirty bool
+	// loading marks an in-flight read (guarded by the shard mutex): the
+	// frame is claimed for pid and in the table, so a second getter of
+	// the page finds it; its valid bit is clear, so nothing can pin or
+	// optimistically read it; and victimLocked passes over it, so the
+	// buffer the unlocked read is filling is nobody else's.
+	loading bool
 }
 
-func packFast(pid uint32, idx int) uint64 { return uint64(pid)<<32 | uint64(idx+1) }
+func packSlot(pid uint32, idx int) uint64 { return uint64(pid)<<32 | uint64(idx+1) }
+
+// locate hashes pid once: the top bits of the product pick the shard
+// and the bits right below them the home slot in that shard's table, so
+// (shard, slot) together are one multiplicative hash of the pid.
+func (p *Pool) locate(pid uint32) (si int32, home uint32) {
+	h := pid * 0x9E3779B1
+	return int32(h >> p.shardShift), h << (32 - p.shardShift) >> p.slotShift
+}
+
+// lookup probes the table for pid from its home slot. Exact under mu;
+// without it, see poolShard.slots.
+func (sh *poolShard) lookup(pid, home uint32) (int, bool) {
+	mask := uint32(len(sh.slots) - 1)
+	for s, n := home, 0; n < len(sh.slots); s, n = (s+1)&mask, n+1 {
+		w := sh.slots[s].Load()
+		if w == 0 {
+			break
+		}
+		if uint32(w>>32) == pid {
+			return int(uint32(w)) - 1, true
+		}
+	}
+	return 0, false
+}
+
+// insert enters pid→frame i. Caller holds sh.mu and knows pid is not in
+// the table.
+func (sh *poolShard) insert(pid, home uint32, i int) {
+	mask := uint32(len(sh.slots) - 1)
+	s := home
+	for sh.slots[s].Load() != 0 {
+		s = (s + 1) & mask
+	}
+	sh.slots[s].Store(packSlot(pid, i))
+	sh.resident++
+}
+
+// removeLocked deletes pid's entry, if any, and closes the gap by
+// shifting back the entries of the run behind it that probed past the
+// gap, so probes keep ending at the first empty slot with no
+// tombstones to clean up. Caller holds sh.mu.
+func (p *Pool) removeLocked(sh *poolShard, pid uint32) {
+	mask := uint32(len(sh.slots) - 1)
+	_, gap := p.locate(pid)
+	for {
+		w := sh.slots[gap].Load()
+		if w == 0 {
+			return
+		}
+		if uint32(w>>32) == pid {
+			break
+		}
+		gap = (gap + 1) & mask
+	}
+	for s := (gap + 1) & mask; ; s = (s + 1) & mask {
+		w := sh.slots[s].Load()
+		if w == 0 {
+			break
+		}
+		// The entry may move into the gap unless its home lies
+		// cyclically in (gap, s]: then a probe for it would start past
+		// the gap and never see it there.
+		if _, h := p.locate(uint32(w >> 32)); (s-h)&mask < (s-gap)&mask {
+			continue
+		}
+		sh.slots[gap].Store(w)
+		gap = s
+	}
+	sh.slots[gap].Store(0)
+	sh.resident--
+}
 
 // NewPool creates a single-shard pool with the given number of frames —
 // the configuration every sequential simulation uses; its replacement
@@ -167,7 +258,7 @@ func NewPool(store Store, frames int) *Pool {
 // NewConcurrentPool creates a pool whose frames are spread over shards
 // (rounded up to a power of two) with a per-page latch table attached.
 // Gets and Unpins of warm pages are lock-free; misses and evictions
-// take only their shard's mutex.
+// take only their shard's mutex, and not across the page read.
 func NewConcurrentPool(store Store, frames, shards int) *Pool {
 	return newPool(store, frames, shards, true)
 }
@@ -203,14 +294,23 @@ func newPool(store Store, frames, shards int, latched bool) *Pool {
 		p.latches = latch.NewTable()
 	}
 	base, extra := frames/n, frames%n
+	// Table size: the power of two at or above twice the largest shard's
+	// frame count (load factor 1/4 to 1/2), the same for every shard so
+	// that one shift serves them all.
+	slots := 2
+	for slots < 2*(base+1) {
+		slots <<= 1
+	}
+	p.slotShift = 32 - uint32(log2(slots))
 	for s := range p.shards {
 		cnt := base
 		if s < extra {
 			cnt++
 		}
 		sh := &p.shards[s]
+		sh.loaded.L = &sh.mu
 		sh.frames = make([]frame, cnt)
-		sh.table = make(map[uint32]int, cnt)
+		sh.slots = make([]atomic.Uint64, slots)
 		for i := range sh.frames {
 			sh.frames[i].data = make([]byte, p.pageSize)
 		}
@@ -225,12 +325,6 @@ func log2(n int) int {
 		b++
 	}
 	return b
-}
-
-// shardFor hashes pid onto a shard. With one shard the shift is 32 and
-// every page maps to shard 0.
-func (p *Pool) shardFor(pid uint32) *poolShard {
-	return &p.shards[(pid*0x9E3779B1)>>p.shardShift]
 }
 
 // ShardCount reports how many shards the pool was built with.
@@ -268,6 +362,8 @@ func (p *Pool) RegisterMetrics(reg *obs.Registry) {
 	reg.Gauge("pool.shard.count", func() float64 { return float64(len(p.shards)) })
 	reg.Counter("pool.shard.evict_latch_fails", p.stats.evictLatchFails.Load)
 	reg.Counter("pool.shard.locked_gets", p.stats.lockedGets.Load)
+	reg.Counter("pool.shard.inflight_waits", p.stats.inflightWaits.Load)
+	reg.Counter("pool.shard.table_lookups", p.stats.tableLookups.Load)
 	if p.latches != nil {
 		p.latches.RegisterMetrics(reg)
 	}
@@ -310,7 +406,7 @@ func (p *Pool) ResetStats() {
 	for _, c := range []*atomic.Uint64{
 		&s.gets, &s.hits, &s.demandMisses, &s.prefetchIssue, &s.prefetchHits,
 		&s.evictions, &s.dirtyWrites, &s.retries, &s.checksumFailures, &s.prefetchFailures,
-		&s.evictLatchFails, &s.lockedGets,
+		&s.evictLatchFails, &s.lockedGets, &s.inflightWaits, &s.tableLookups,
 	} {
 		c.Store(0)
 	}
@@ -379,7 +475,8 @@ func (p *Pool) RestoreAllocState(next uint32, free []uint32) {
 }
 
 // victimLocked selects a frame in sh via the CLOCK algorithm, evicting
-// its current occupant if necessary. Caller holds sh.mu.
+// its current occupant if necessary. A frame with a read in flight is
+// passed over like a pinned one. Caller holds sh.mu.
 func (p *Pool) victimLocked(sh *poolShard) (int, error) {
 	for pass := 0; pass < 2*len(sh.frames)+1; pass++ {
 		i := sh.hand
@@ -387,6 +484,9 @@ func (p *Pool) victimLocked(sh *poolShard) (int, error) {
 		sh.hand = (sh.hand + 1) % len(sh.frames)
 		st := f.state.Load()
 		if st&frameValidBit == 0 {
+			if f.loading {
+				continue
+			}
 			return i, nil
 		}
 		if st&framePinMask > 0 {
@@ -444,10 +544,7 @@ func (p *Pool) evictLocked(sh *poolShard, i int) (bool, error) {
 		}
 		return false, nil
 	}
-	delete(sh.table, pid)
-	// Explicitly drop the fast-path entry for the evicted page so a
-	// stale slot can never outlive its frame's occupancy.
-	sh.fast[pid&(fastSize-1)].CompareAndSwap(packFast(pid, i), 0)
+	p.removeLocked(sh, pid)
 	f.dirty = false
 	// A reused frame must never inherit the in-flight completion time
 	// of its prior occupant.
@@ -576,53 +673,109 @@ func (p *Pool) TryGetX(pid uint32) (Page, bool, error) {
 // shard mutex, so a blocked latch acquisition never stalls the shard:
 // the pin alone keeps the frame safe from eviction, and the eviction
 // path's TryLock refuses any page with a live latch holder.
+//
+// The store read of a miss runs with no lock held: under sh.mu the miss
+// evicts a victim and claims its frame (claimLocked), then reads
+// unlocked, then takes sh.mu again to publish the frame or, on error,
+// to give the claim up — so other pages of the shard are served while
+// the read is out, and a second Get of the same page waits for it.
 func (p *Pool) get(pid uint32, mode latchMode) (Page, bool, error) {
 	if pid == 0 {
 		return Page{}, false, fmt.Errorf("buffer: Get of nil page")
 	}
 	p.stats.gets.Add(1)
 	p.fixBusy()
-	sh := p.shardFor(pid)
-	if pg, pinned := p.fastPin(sh, pid); pinned {
+	si, home := p.locate(pid)
+	sh := &p.shards[si]
+	if pg, pinned := p.fastPin(sh, si, pid, home); pinned {
 		return p.latchPinned(sh, pg, mode)
 	}
 	p.stats.lockedGets.Add(1)
 	latch.SpinLock(&sh.mu)
-	if i, ok := sh.table[pid]; ok {
-		sh.fast[pid&(fastSize-1)].Store(packFast(pid, i))
-		pg := p.pinHitLocked(sh, pid, i)
-		sh.mu.Unlock()
-		return p.latchPinned(sh, pg, mode)
-	}
-	i, err := p.victimLocked(sh)
+	i, hit, err := p.claimLocked(sh, pid, home, true)
 	if err != nil {
 		sh.mu.Unlock()
 		return Page{}, false, err
 	}
+	if hit {
+		pg := p.pinHitLocked(sh, si, pid, i)
+		sh.mu.Unlock()
+		return p.latchPinned(sh, pg, mode)
+	}
 	f := &sh.frames[i]
+	sh.mu.Unlock()
 	done, err := p.readRetry(pid, f.data)
+	latch.SpinLock(&sh.mu)
 	if err != nil {
-		// The frame stays invalid (victimLocked left it so, or evict
-		// cleared it); a later Get retries the read from scratch.
+		// The claim is given up and the frame stays invalid; a later Get
+		// (or a waiter woken now) retries the read from scratch.
+		p.unclaimLocked(sh, f, pid)
 		sh.mu.Unlock()
 		return Page{}, false, err
 	}
 	p.clockAdvance(done)
-	f.pid.Store(pid)
-	f.dirty = false
-	f.ref.Store(true)
-	f.readyAt.Store(0)
-	st := f.state.Load()
-	f.state.Store((st &^ framePinMask) | frameValidBit | 1)
-	sh.table[pid] = i
-	sh.fast[pid&(fastSize-1)].Store(packFast(pid, i))
+	p.publishLocked(sh, f, 0, 1)
 	p.stats.demandMisses.Add(1)
 	if p.tr != nil {
 		p.tr.Buffer(obs.EvDemandMiss, pid, p.cyc(), p.Clock(), done)
 	}
-	pg := p.page(sh, pid, i, f)
+	pg := p.page(si, pid, i, f)
 	sh.mu.Unlock()
 	return p.latchPinned(sh, pg, mode)
+}
+
+// claimLocked translates pid under sh.mu. hit=true: frame i holds the
+// page — resident, or with wait unset possibly still in flight. With
+// wait set a page found in flight is waited for and looked up again, so
+// the caller sees the outcome of that one read: the page, or (the read
+// failed) no entry, in which case it claims like any other miss.
+// hit=false: the page had no entry and frame i, its previous occupant
+// evicted, is now claimed for it: in the table (findable), not valid
+// and marked loading (not evictable). The caller reads the page into
+// the frame's buffer with sh.mu released, then publishes or unclaims.
+func (p *Pool) claimLocked(sh *poolShard, pid, home uint32, wait bool) (i int, hit bool, err error) {
+	for {
+		p.stats.tableLookups.Add(1)
+		i, ok := sh.lookup(pid, home)
+		if !ok {
+			break
+		}
+		if !wait || !sh.frames[i].loading {
+			return i, true, nil
+		}
+		p.stats.inflightWaits.Add(1)
+		sh.loaded.Wait()
+	}
+	i, err = p.victimLocked(sh)
+	if err != nil {
+		return 0, false, err
+	}
+	f := &sh.frames[i]
+	f.pid.Store(pid)
+	f.loading = true
+	sh.insert(pid, home, i)
+	return i, false, nil
+}
+
+// publishLocked ends f's in-flight read successfully: the frame turns
+// valid with the given pin count and virtual completion time, and
+// waiters are woken. Caller holds sh.mu.
+func (p *Pool) publishLocked(sh *poolShard, f *frame, readyAt, pins uint64) {
+	f.dirty = false
+	f.ref.Store(true)
+	f.readyAt.Store(readyAt)
+	f.state.Store((f.state.Load() &^ framePinMask) | frameValidBit | pins)
+	f.loading = false
+	sh.loaded.Broadcast()
+}
+
+// unclaimLocked ends f's in-flight read of pid unsuccessfully: the
+// entry goes, the frame is free for any victim search, and waiters are
+// woken to retry for themselves. Caller holds sh.mu.
+func (p *Pool) unclaimLocked(sh *poolShard, f *frame, pid uint32) {
+	p.removeLocked(sh, pid)
+	f.loading = false
+	sh.loaded.Broadcast()
 }
 
 // latchPinned acquires pg's latch per mode after the pin is already
@@ -652,39 +805,24 @@ func (p *Pool) latchPinned(sh *poolShard, pg Page, mode latchMode) (Page, bool, 
 	return pg, true, nil
 }
 
-func (p *Pool) page(sh *poolShard, pid uint32, i int, f *frame) Page {
+func (p *Pool) page(si int32, pid uint32, i int, f *frame) Page {
 	return Page{
 		ID: pid, Data: f.data, Addr: p.space.PageAddr(pid),
-		frame: i, shard: int32(shardIndex(p, sh)),
+		frame: i, shard: si,
 	}
-}
-
-func shardIndex(p *Pool, sh *poolShard) int {
-	// Pointer arithmetic-free shard index: shards is small, and this is
-	// off the per-op fast path only on misses, so a linear scan would
-	// do; but the hash is cheaper and exact.
-	for i := range p.shards {
-		if &p.shards[i] == sh {
-			return i
-		}
-	}
-	panic("buffer: foreign shard")
 }
 
 // fastPin is the lock-free warm path: translate pid through the shard's
-// direct-mapped table and pin the frame with a bare state-word CAS.
-// It fails (returning ok=false) whenever anything is unusual — slot
-// mismatch, invalid frame, in-flight prefetch, frame recycled between
-// the slot read and the pin — and the caller falls back to the locked
-// path, which owns all the slow-case protocols. The page latch is NOT
-// acquired here; the caller latches after the pin (latchPinned).
-func (p *Pool) fastPin(sh *poolShard, pid uint32) (Page, bool) {
-	packed := sh.fast[pid&(fastSize-1)].Load()
-	if uint32(packed>>32) != pid || packed == 0 {
-		return Page{}, false
-	}
-	i := int(packed&framePinMask) - 1
-	if i < 0 || i >= len(sh.frames) {
+// table with no lock and pin the frame with a bare state-word CAS.
+// It fails (returning ok=false) whenever anything is unusual — no entry
+// seen, invalid or in-flight frame, virtual-time prefetch pending, frame
+// recycled between the probe and the pin — and the caller falls back to
+// the locked path, which owns all the slow-case protocols. The page
+// latch is NOT acquired here; the caller latches after the pin
+// (latchPinned).
+func (p *Pool) fastPin(sh *poolShard, si int32, pid, home uint32) (Page, bool) {
+	i, ok := sh.lookup(pid, home)
+	if !ok {
 		return Page{}, false
 	}
 	f := &sh.frames[i]
@@ -701,8 +839,8 @@ func (p *Pool) fastPin(sh *poolShard, pid uint32) (Page, bool) {
 		}
 	}
 	if f.pid.Load() != pid {
-		// The frame was evicted and refilled between the slot read and
-		// the pin; release and take the locked path.
+		// The frame was evicted and refilled between the probe and the
+		// pin; release and take the locked path.
 		p.unpin(f)
 		return Page{}, false
 	}
@@ -711,15 +849,16 @@ func (p *Pool) fastPin(sh *poolShard, pid uint32) (Page, bool) {
 	if p.tr != nil {
 		p.tr.Buffer(obs.EvBufferHit, pid, p.cyc(), p.Clock(), 0)
 	}
-	return p.page(sh, pid, i, f), true
+	return p.page(si, pid, i, f), true
 }
 
 // unpin drops one pin from f's state word.
 func (p *Pool) unpin(f *frame) { f.state.Add(^uint64(0)) }
 
-// pinHitLocked pins the resident (or in-flight) frame i holding pid.
-// Caller holds sh.mu and acquires the page latch after releasing it.
-func (p *Pool) pinHitLocked(sh *poolShard, pid uint32, i int) Page {
+// pinHitLocked pins the resident frame i holding pid (its read may
+// still be pending in virtual time, never in real time). Caller holds
+// sh.mu and acquires the page latch after releasing it.
+func (p *Pool) pinHitLocked(sh *poolShard, si int32, pid uint32, i int) Page {
 	f := &sh.frames[i]
 	f.state.Add(1)
 	f.ref.Store(true)
@@ -742,7 +881,7 @@ func (p *Pool) pinHitLocked(sh *poolShard, pid uint32, i int) Page {
 			p.tr.Buffer(obs.EvBufferHit, pid, p.cyc(), p.Clock(), 0)
 		}
 	}
-	return p.page(sh, pid, i, f)
+	return p.page(si, pid, i, f)
 }
 
 // Prefetch issues an asynchronous read for pid if it is not already
@@ -755,39 +894,44 @@ func (p *Pool) pinHitLocked(sh *poolShard, pid uint32, i int) Page {
 // point where a real error (corruption, dead sector) surfaces to the
 // caller — so a failed prefetch degrades to a demand read instead of
 // failing the operation that issued it.
+//
+// Asynchronous is in virtual time only: the store read runs in the
+// caller, with the frame claimed and no lock held, as in get.
 func (p *Pool) Prefetch(pid uint32) error {
 	if pid == 0 {
 		return nil
 	}
-	sh := p.shardFor(pid)
-	latch.SpinLock(&sh.mu)
-	defer sh.mu.Unlock()
-	if _, ok := sh.table[pid]; ok {
+	si, home := p.locate(pid)
+	sh := &p.shards[si]
+	if _, ok := sh.lookup(pid, home); ok {
 		return nil
 	}
-	i, err := p.victimLocked(sh)
+	latch.SpinLock(&sh.mu)
+	i, hit, err := p.claimLocked(sh, pid, home, false)
+	sh.mu.Unlock()
 	if err != nil {
 		p.stats.prefetchFailures.Add(1)
+		return nil
+	}
+	if hit {
 		return nil
 	}
 	f := &sh.frames[i]
 	done, err := p.store.ReadPage(pid, f.data, p.Clock())
+	latch.SpinLock(&sh.mu)
 	if err != nil {
+		p.unclaimLocked(sh, f, pid)
+		sh.mu.Unlock()
 		p.noteReadErr(err)
 		p.stats.prefetchFailures.Add(1)
 		return nil
 	}
-	f.pid.Store(pid)
-	f.dirty = false
-	f.ref.Store(true)
-	f.readyAt.Store(done)
-	st := f.state.Load()
-	f.state.Store((st &^ framePinMask) | frameValidBit)
-	sh.table[pid] = i
+	p.publishLocked(sh, f, done, 0)
 	p.stats.prefetchIssue.Add(1)
 	if p.tr != nil {
 		p.tr.Buffer(obs.EvPrefetchIssue, pid, p.cyc(), p.Clock(), done)
 	}
+	sh.mu.Unlock()
 	return nil
 }
 
@@ -817,9 +961,10 @@ func (p *Pool) PrefetchRun(pids []uint32) error {
 // Contains reports whether pid is resident (or in flight) without
 // touching replacement state.
 func (p *Pool) Contains(pid uint32) bool {
-	sh := p.shardFor(pid)
+	si, home := p.locate(pid)
+	sh := &p.shards[si]
 	sh.mu.Lock()
-	_, ok := sh.table[pid]
+	_, ok := sh.lookup(pid, home)
 	sh.mu.Unlock()
 	return ok
 }
@@ -836,7 +981,8 @@ func (p *Pool) NewPageX() (Page, error) { return p.newPage(latchX) }
 
 func (p *Pool) newPage(mode latchMode) (Page, error) {
 	pid := p.AllocPageID()
-	sh := p.shardFor(pid)
+	si, home := p.locate(pid)
+	sh := &p.shards[si]
 	sh.mu.Lock()
 	i, err := p.victimLocked(sh)
 	if err != nil {
@@ -856,9 +1002,8 @@ func (p *Pool) newPage(mode latchMode) (Page, error) {
 	f.readyAt.Store(0)
 	st := f.state.Load()
 	f.state.Store((st &^ framePinMask) | frameValidBit | 1)
-	sh.table[pid] = i
-	sh.fast[pid&(fastSize-1)].Store(packFast(pid, i))
-	pg := p.page(sh, pid, i, f)
+	sh.insert(pid, home, i)
+	pg := p.page(si, pid, i, f)
 	sh.mu.Unlock()
 	pg, _, err = p.latchPinned(sh, pg, mode)
 	return pg, err
@@ -898,12 +1043,13 @@ func (p *Pool) Unpin(pg Page, dirty bool) {
 
 // FreePage returns an unpinned page to the allocator and drops its frame.
 func (p *Pool) FreePage(pid uint32) error {
-	sh := p.shardFor(pid)
+	si, home := p.locate(pid)
+	sh := &p.shards[si]
 	sh.mu.Lock()
-	if i, ok := sh.table[pid]; ok {
+	if i, ok := sh.lookup(pid, home); ok {
 		f := &sh.frames[i]
 		st := f.state.Load()
-		if st&framePinMask > 0 {
+		if st&framePinMask > 0 || f.loading {
 			sh.mu.Unlock()
 			return fmt.Errorf("buffer: FreePage of pinned page %d", pid)
 		}
@@ -911,8 +1057,7 @@ func (p *Pool) FreePage(pid uint32) error {
 			sh.mu.Unlock()
 			return fmt.Errorf("buffer: FreePage of pinned page %d", pid)
 		}
-		delete(sh.table, pid)
-		sh.fast[pid&(fastSize-1)].CompareAndSwap(packFast(pid, i), 0)
+		p.removeLocked(sh, pid)
 		f.dirty = false
 		f.readyAt.Store(0)
 		if p.latches != nil {
@@ -979,7 +1124,7 @@ func (p *Pool) DiscardAll() error {
 }
 
 // invalidateAll drops every unpinned valid frame (clearing dirty state
-// when discard is set) and its fast-path entry.
+// when discard is set) and its table entry.
 func (p *Pool) invalidateAll(discard bool) {
 	for s := range p.shards {
 		sh := &p.shards[s]
@@ -997,8 +1142,7 @@ func (p *Pool) invalidateAll(discard bool) {
 				continue
 			}
 			pid := f.pid.Load()
-			delete(sh.table, pid)
-			sh.fast[pid&(fastSize-1)].CompareAndSwap(packFast(pid, i), 0)
+			p.removeLocked(sh, pid)
 			if discard {
 				f.dirty = false
 			}
@@ -1035,7 +1179,7 @@ func (p *Pool) ResidentPages() int {
 	for s := range p.shards {
 		sh := &p.shards[s]
 		sh.mu.Lock()
-		n += len(sh.table)
+		n += sh.resident
 		sh.mu.Unlock()
 	}
 	return n

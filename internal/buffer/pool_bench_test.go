@@ -20,8 +20,9 @@ func newDiskPool(t testing.TB, frames, disks int) *Pool {
 func frameOf(t *testing.T, p *Pool, pid uint32) *frame {
 	t.Helper()
 	sh := &p.shards[0]
+	_, home := p.locate(pid)
 	sh.mu.Lock()
-	i, ok := sh.table[pid]
+	i, ok := sh.lookup(pid, home)
 	sh.mu.Unlock()
 	if !ok {
 		t.Fatalf("page %d not resident", pid)
@@ -126,23 +127,27 @@ func TestEvictClearsReadyAt(t *testing.T) {
 	}
 }
 
-// TestFastPathCollisions drives pages whose IDs collide in the
-// direct-mapped fast path and checks every Get still resolves to the
-// right page.
+// TestFastPathCollisions drives pages whose IDs share a home slot in
+// the pid→frame table and checks every Get still resolves to the right
+// page.
 func TestFastPathCollisions(t *testing.T) {
 	p := newMemPool(600)
+	pg, err := p.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	si, home := p.locate(pg.ID)
 	var pids []uint32
 	for i := 0; i < 3; i++ {
-		pg, err := p.NewPage()
-		if err != nil {
-			t.Fatal(err)
+		if i > 0 {
+			// Burns page IDs up to the next one with the same home slot.
+			pg = newPageAt(t, p, si, home)
 		}
 		pg.Data[0] = byte(pg.ID)
 		p.Unpin(pg, true)
 		pids = append(pids, pg.ID)
-		// Burn page IDs so the next allocation collides in the fast path
-		// (same pid mod fastSize).
-		for j := 1; j < fastSize; j++ {
+		// Keep other pages resident around the colliding ones.
+		for j := 0; j < len(p.shards[0].slots)/16; j++ {
 			q, err := p.NewPage()
 			if err != nil {
 				t.Fatal(err)
@@ -206,11 +211,11 @@ func BenchmarkPoolGetHit(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolGetHitSpread exercises the map fallback: more hot pages
-// than direct-mapped slots.
+// BenchmarkPoolGetHitSpread spreads warm Gets over many resident pages
+// (three quarters of the pool) instead of one.
 func BenchmarkPoolGetHitSpread(b *testing.B) {
-	p := newMemPool(2 * fastSize)
-	pids := make([]uint32, fastSize+fastSize/2)
+	p := newMemPool(256)
+	pids := make([]uint32, 192)
 	for i := range pids {
 		pg, err := p.NewPage()
 		if err != nil {

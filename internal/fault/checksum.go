@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/buffer"
-	"repro/internal/latch"
 )
 
 // TrailerSize is the per-page integrity trailer, carved off the end of
@@ -50,14 +49,25 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Pages never written through this store (fresh extents) are exempt
 // from verification and read back as logical zeros, matching MemStore
 // semantics.
+//
+// Locking. Reads never share a buffer and hold no lock across the inner
+// read that another read would wait for: each takes a physical-page
+// buffer of its own from readBufs. The stateless store's ReadPage takes
+// no lock at all (it consults nothing but the bytes it read); the
+// stateful store's holds mu shared, so that reads overlap each other
+// but none can straddle a WritePage — which holds mu exclusively from
+// the inner write to the map update — and compare new media bytes with
+// the old expected version.
 type ChecksumStore struct {
-	// mu guards the shared scratch buffer and the version/written maps
-	// (concurrent pool shards miss independently; single-threaded runs
-	// take it uncontended).
-	mu      sync.Mutex
+	// mu guards the write-side scratch buffer and the version/written
+	// maps (single-threaded runs take it uncontended).
+	mu      sync.RWMutex
 	inner   buffer.Store
 	logical int
 	scratch []byte
+	// readBufs recycles the physical-page buffers (*[]byte) reads verify
+	// in, so a miss allocates nothing once the pool is warm.
+	readBufs sync.Pool
 	// version holds the expected (last successfully written) version of
 	// each page. Like `written`, it is in-memory metadata, standing in
 	// for what a real system recovers from its log.
@@ -84,13 +94,18 @@ func NewChecksumStore(inner buffer.Store) *ChecksumStore {
 		// never data-dependent.
 		panic("fault: page too small for a checksum trailer")
 	}
-	return &ChecksumStore{
+	s := &ChecksumStore{
 		inner:   inner,
 		logical: inner.PageSize() - TrailerSize,
 		scratch: make([]byte, inner.PageSize()),
 		version: make(map[uint32]uint64),
 		written: make(map[uint32]bool),
 	}
+	s.readBufs.New = func() any {
+		b := make([]byte, inner.PageSize())
+		return &b
+	}
+	return s
 }
 
 // NewStatelessChecksumStore wraps inner like NewChecksumStore but
@@ -108,8 +123,8 @@ func (s *ChecksumStore) PageSize() int { return s.logical }
 
 // WrittenPages reports how many pages carry a trailer.
 func (s *ChecksumStore) WrittenPages() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return len(s.written)
 }
 
@@ -141,44 +156,49 @@ func (s *ChecksumStore) WritePage(pid uint32, src []byte, now uint64) (uint64, e
 // ReadPage implements buffer.Store: read the physical page and verify
 // the trailer before releasing the data to the caller.
 func (s *ChecksumStore) ReadPage(pid uint32, dst []byte, now uint64) (uint64, error) {
-	latch.SpinLock(&s.mu)
-	defer s.mu.Unlock()
-	done, err := s.inner.ReadPage(pid, s.scratch, now)
+	if !s.stateless {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
+	bp := s.readBufs.Get().(*[]byte)
+	defer s.readBufs.Put(bp)
+	phys := *bp
+	done, err := s.inner.ReadPage(pid, phys, now)
 	if err != nil {
 		return done, err
 	}
-	magic := binary.LittleEndian.Uint32(s.scratch[s.logical+4:])
+	magic := binary.LittleEndian.Uint32(phys[s.logical+4:])
 	if s.stateless {
 		if magic != trailerMagic {
 			// No trailer: only an all-zero page (a fresh extent) is
 			// acceptable — garbage that garbled the magic must not be
 			// silently served as an empty page.
-			for i, b := range s.scratch {
+			for i, b := range phys {
 				if b != 0 {
 					return done, &buffer.PageError{PID: pid, Op: "read",
 						Err: fmt.Errorf("unchecksummed page with nonzero byte at %d: %w", i, buffer.ErrCorruptPage)}
 				}
 			}
-			copy(dst, s.scratch[:s.logical])
+			copy(dst, phys[:s.logical])
 			return done, nil
 		}
 	} else if !s.written[pid] {
 		// Fresh extent: no trailer to verify, reads as zeros.
-		copy(dst, s.scratch[:s.logical])
+		copy(dst, phys[:s.logical])
 		return done, nil
 	}
-	want := binary.LittleEndian.Uint32(s.scratch[s.logical:])
-	version := binary.LittleEndian.Uint64(s.scratch[s.logical+8:])
+	want := binary.LittleEndian.Uint32(phys[s.logical:])
+	version := binary.LittleEndian.Uint64(phys[s.logical+8:])
 	ok := magic == trailerMagic &&
 		(s.stateless || version == s.version[pid]) &&
-		crc32.Checksum(s.scratch[:s.logical], castagnoli) == want
-	for i := s.logical + 16; ok && i < len(s.scratch); i++ {
-		ok = s.scratch[i] == 0
+		crc32.Checksum(phys[:s.logical], castagnoli) == want
+	for i := s.logical + 16; ok && i < len(phys); i++ {
+		ok = phys[i] == 0
 	}
 	if !ok {
 		return done, &buffer.PageError{PID: pid, Op: "read", Err: buffer.ErrCorruptPage}
 	}
-	copy(dst, s.scratch[:s.logical])
+	copy(dst, phys[:s.logical])
 	return done, nil
 }
 

@@ -338,17 +338,22 @@ func (b *Backoff) Reset() { b.n = 0 }
 
 // spinLockTries bounds SpinLock's spin phase: each try is a load of the
 // mutex word and sixteen spin hints, about 30 ns, so about 30 µs in
-// all — several page refills from the OS page cache.
+// all.
 const spinLockTries = 1000
 
-// SpinLock locks mu, spinning briefly before it parks. It is for the
-// mutexes a buffer-pool miss holds across its page read (the pool
-// shard's, the checksum store's): when the read comes from the OS page
-// cache the holder is done in microseconds, while a parked waiter
-// waits for a scheduler wake-up that can cost a hundred times that
-// (DESIGN.md §11.6, restart and fallback rule). A holder slower than
-// the spin budget — a real disk read, a descheduled goroutine — is
-// waited for asleep, as with a plain Lock.
+// SpinLock locks mu, spinning briefly before it parks. It is for
+// mutexes whose holder is normally done in microseconds, where a parked
+// waiter would wait for a scheduler wake-up that can cost a hundred
+// times that (DESIGN.md §11.6, restart and fallback rule): cache-first's
+// structural-writer mutex (wMu), and the buffer pool's shard mutex on
+// the miss path. Neither guards a page read any more — a miss claims
+// its frame, reads with the shard mutex released and retakes it to
+// publish, and the checksum store's reads take no exclusive lock — so
+// the shard mutex's sections are a table probe and a few stores, with
+// one exception left for a workload that evicts dirty pages under
+// concurrency: a dirty victim's write-back still runs under it. A
+// holder slower than the spin budget — that write-back on a real disk,
+// a descheduled goroutine — is waited for asleep, as with a plain Lock.
 func SpinLock(mu *sync.Mutex) {
 	for i := 0; i < spinLockTries; i++ {
 		if mu.TryLock() {
