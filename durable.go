@@ -60,7 +60,7 @@ func (t *Tree) Recovery() (RecoveryInfo, bool) {
 	return *t.recovery, true
 }
 
-// WALBytes reports the active log segment's size (the auto-checkpoint
+// WALBytes reports the active log segment's size (one auto-checkpoint
 // threshold input), or 0 for non-durable trees.
 func (t *Tree) WALBytes() int64 {
 	if t.durable == nil {
@@ -70,19 +70,28 @@ func (t *Tree) WALBytes() int64 {
 }
 
 // Commit establishes a durable point: every page written so far —
-// including pages still dirty in the buffer pool — is redo-logged, and
-// one group-committed fsync makes the state tagged tag recoverable. A
-// crash after Commit returns recovers to exactly this state; a crash
-// before loses at most the writes since the previous Commit.
+// including pages still dirty in the buffer pool — is pushed to the
+// durable store, and one group-committed fsync makes the state tagged
+// tag recoverable. A crash after Commit returns recovers to exactly
+// this state; a crash before loses at most the writes since the
+// previous Commit. The store logs only the bytes each page changed and
+// writes pages no durable state references yet straight to the page
+// file (DESIGN.md §12), so a Commit costs about what it changed.
 //
-// When the active log segment has grown past CheckpointBytes, Commit
-// escalates to a checkpoint (see Checkpoint) to bound recovery replay.
+// Commit escalates to a checkpoint (see Checkpoint) when either the
+// active log segment or the page file's lag — the pages logged since
+// the last checkpoint, at their physical size — has reached
+// CheckpointBytes. That bounds recovery replay both in log bytes and in
+// distinct pages. An escalated Commit writes one commit record and
+// fsyncs the log once, as a plain Commit does, before the checkpoint's
+// page writes and rotation.
 //
 // Locking: whole-tree maintenance — in concurrent mode no operations
 // may be in flight, but concurrent Commit calls are allowed and are the
 // group-commit case: only the flush and the commit-record append run
 // under the tree lock; the fsync happens outside it, so simultaneous
-// committers coalesce onto one fsync (see WithGroupCommit).
+// committers coalesce onto one fsync (see WithGroupCommit). An
+// escalated Commit runs its whole checkpoint under the tree lock.
 func (t *Tree) Commit(tag uint64) error {
 	if t.durable == nil {
 		return ErrNotDurable
@@ -90,33 +99,30 @@ func (t *Tree) Commit(tag uint64) error {
 	t.lock()
 	err := t.pool.FlushAll()
 	var lsn uint64
+	escalate := t.ckptBytes > 0 &&
+		max(t.durable.WALBytes(), t.durable.LagBytes()) >= t.ckptBytes
 	if err == nil {
-		lsn, err = t.durable.AppendCommit(tag, t.metaBlob())
+		if escalate {
+			err = t.durable.Checkpoint(tag, t.metaBlob())
+		} else {
+			lsn, err = t.durable.AppendCommit(tag, t.metaBlob())
+		}
 	}
 	if err == nil {
 		t.lastTag = tag
 	}
 	t.unlock()
-	if err != nil {
+	if err != nil || escalate {
 		return err
 	}
-	if err := t.durable.Sync(lsn); err != nil {
-		return err
-	}
-	if t.ckptBytes > 0 && t.durable.WALBytes() >= t.ckptBytes {
-		// The pool is already flushed and Checkpoint's leading commit is
-		// this commit's re-run; the extra record is cheap and keeps
-		// Checkpoint's crash-window reasoning in one place.
-		return t.Checkpoint(tag)
-	}
-	return nil
+	return t.durable.Sync(lsn)
 }
 
 // Checkpoint establishes a durable point like Commit and then advances
 // the page file to it, truncating the log: recovery from here replays
-// nothing. More expensive than Commit (every dirty page is written
-// back); call it at operational quiet points or rely on the automatic
-// CheckpointBytes escalation.
+// nothing. More expensive than Commit (every page logged since the last
+// checkpoint is written to the page file); call it at operational quiet
+// points or rely on the automatic CheckpointBytes escalation.
 //
 // Locking: whole-tree maintenance — in concurrent mode no operations
 // may be in flight.

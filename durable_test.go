@@ -82,6 +82,11 @@ func TestDurableCommitKillRecover(t *testing.T) {
 			if err := tr.Bulkload(load, 0.8); err != nil {
 				t.Fatal(err)
 			}
+			// The bulkloaded pages are fresh, so this Commit writes them
+			// straight to the page file; the next one logs what changed.
+			if err := tr.Commit(6); err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < 40; i++ {
 				k := Key(i*3 + 2)
 				tid := TupleID(9000 + uint32(i))
@@ -186,7 +191,7 @@ func TestDurableWithChecksums(t *testing.T) {
 // nothing.
 func TestDurableAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	tr, err := New(durableTestOpts(dir, DiskOptimized, WithCheckpointBytes(8<<10))...)
+	tr, err := New(durableTestOpts(dir, DiskOptimized, WithCheckpointBytes(1<<10))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +205,9 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Each commit redo-logs >8 KB of 1 KB pages, so every one escalates:
-	// the active segment holds only the latest checkpoint.
+	// A commit that logs a page leaves at least one 1 KB page in the
+	// page file's lag, so it escalates: the active segment holds only the
+	// latest checkpoint.
 	if wb := tr.WALBytes(); wb > 4<<10 {
 		t.Fatalf("WAL grew unbounded under auto-checkpoint: %d bytes", wb)
 	}
@@ -313,5 +319,151 @@ func TestDurableConfigGuards(t *testing.T) {
 	if !errors.Is(fmt.Errorf("x: %w", ErrWALCorrupt), ErrWALCorrupt) ||
 		!errors.Is(fmt.Errorf("x: %w", ErrShortWrite), ErrShortWrite) {
 		t.Fatal("error re-exports do not classify")
+	}
+}
+
+// TestDurableCommitLogsChangedBytes: a one-insert Commit on a tree with
+// the benchmark's page shape (16 KB, checksum trailer) logs the bytes
+// the insert changed — a delta record, not a 16,448-byte page image.
+// The fractal layouts keep an insert inside one in-page node.
+func TestDurableCommitLogsChangedBytes(t *testing.T) {
+	for _, v := range []Variant{DiskFirst, CacheFirst} {
+		t.Run(v.String(), func(t *testing.T) {
+			tr, err := New(WithVariant(v), WithBufferPages(512), WithChecksums(),
+				WithStorePath(t.TempDir()), WithStoreNoFsync())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			load := make([]Entry, 20000)
+			for i := range load {
+				load[i] = Entry{Key: Key(4 * i), TID: TupleID(uint32(i))}
+			}
+			if err := tr.Bulkload(load, 0.7); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Checkpoint(1); err != nil {
+				t.Fatal(err)
+			}
+			before := tr.MetricsSnapshot().Counters
+			if err := tr.Insert(4*10000+1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Commit(2); err != nil {
+				t.Fatal(err)
+			}
+			after := tr.MetricsSnapshot().Counters
+			delta := func(name string) uint64 { return after[name] - before[name] }
+			if delta("wal.page_deltas") == 0 || delta("wal.page_images") != 0 {
+				t.Fatalf("logged %d deltas and %d images, want deltas only",
+					delta("wal.page_deltas"), delta("wal.page_images"))
+			}
+			if b := delta("wal.bytes_written"); b >= 1<<10 {
+				t.Fatalf("one-insert Commit appended %d bytes to the WAL, want < 1 KB", b)
+			}
+		})
+	}
+}
+
+// TestDurableEscalatedCommitSyncsOnce: a Commit that escalates to a
+// checkpoint appends one commit record and fsyncs the log once for it.
+// The rotation then fsyncs the new segment and its directory entry,
+// and the directory again after pruning the oldest segment.
+func TestDurableEscalatedCommitSyncsOnce(t *testing.T) {
+	tr, err := New(durableTestOpts(t.TempDir(), DiskFirst, WithCheckpointBytes(1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for i := 1; i <= 200; i++ {
+		if err := tr.Insert(Key(i), TupleID(uint32(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Checkpoint(1); err != nil { // two segments from here on
+		t.Fatal(err)
+	}
+	if err := tr.Insert(1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	before := tr.MetricsSnapshot().Counters
+	if err := tr.Commit(2); err != nil {
+		t.Fatal(err)
+	}
+	after := tr.MetricsSnapshot().Counters
+	delta := func(name string) uint64 { return after[name] - before[name] }
+	if delta("wal.rotations") != 1 {
+		t.Fatalf("Commit did not escalate: %d rotations", delta("wal.rotations"))
+	}
+	if delta("wal.commits") != 1 || delta("wal.fsyncs") != 4 {
+		t.Fatalf("escalated Commit: %d commit records and %d WAL fsyncs, want 1 and 4 (commit, segment, directory, prune)",
+			delta("wal.commits"), delta("wal.fsyncs"))
+	}
+}
+
+// TestDurableFreshPageWindows: pages no durable state references yet
+// are written straight to the page file. A kill after a flush that
+// wrote such pages, but before the Commit, recovers the previous tag
+// (the direct writes are unreferenced garbage, and their pids are
+// reused); a kill after the Commit recovers them.
+func TestDurableFreshPageWindows(t *testing.T) {
+	for _, v := range []Variant{DiskFirst, CacheFirst, DiskOptimized, MicroIndex} {
+		t.Run(v.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			open := func() *Tree {
+				t.Helper()
+				tr, err := New(durableTestOpts(dir, v)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tr
+			}
+			model := map[Key]TupleID{}
+			insert := func(tr *Tree, m map[Key]TupleID, from, to int) {
+				t.Helper()
+				for i := from; i < to; i++ {
+					if err := tr.Insert(Key(i*7), TupleID(uint32(i))); err != nil {
+						t.Fatal(err)
+					}
+					m[Key(i*7)] = TupleID(uint32(i))
+				}
+			}
+			directWrites := func(tr *Tree) uint64 { return tr.MetricsSnapshot().Counters["filestore.direct_writes"] }
+
+			tr := open()
+			insert(tr, model, 0, 300)
+			if err := tr.Commit(1); err != nil {
+				t.Fatal(err)
+			}
+			// Splits allocate fresh pages; the flush writes them directly.
+			uncommitted := map[Key]TupleID{}
+			insert(tr, uncommitted, 300, 900)
+			n := directWrites(tr)
+			if err := tr.DropBufferPool(); err != nil {
+				t.Fatal(err)
+			}
+			if directWrites(tr) == n {
+				t.Fatal("the flush wrote no fresh page directly")
+			}
+			tr.Kill()
+
+			tr = open()
+			if tag, ok := tr.RecoveredTag(); !ok || tag != 1 {
+				t.Fatalf("kill before Commit recovered tag %d ok=%v, want 1", tag, ok)
+			}
+			assertState(t, tr, model, "kill after the flush, before the Commit")
+			insert(tr, model, 300, 900)
+			if err := tr.Commit(2); err != nil {
+				t.Fatal(err)
+			}
+			tr.Kill()
+
+			tr = open()
+			defer tr.Close()
+			if tag, ok := tr.RecoveredTag(); !ok || tag != 2 {
+				t.Fatalf("kill after Commit recovered tag %d ok=%v, want 2", tag, ok)
+			}
+			assertState(t, tr, model, "kill after the Commit")
+		})
 	}
 }

@@ -177,10 +177,13 @@ type Options struct {
 	// during an fsync still batch onto the next one).
 	WALGroupSize  int
 	WALGroupDelay time.Duration
-	// CheckpointBytes is the active-WAL-size threshold above which
-	// Commit escalates to a checkpoint (bounding recovery replay work
-	// and reclaiming log space). 0 means the default (4 MiB); negative
-	// disables automatic checkpoints.
+	// CheckpointBytes bounds recovery replay: Commit escalates to a
+	// checkpoint when the active WAL segment, or the page file's lag
+	// behind the log (pages logged since the last checkpoint × physical
+	// page size), reaches it. The second input matters because the log
+	// holds only changed bytes: a small log can still stand for many
+	// pages that reopen must replay and fsync. 0 means the default
+	// (4 MiB); negative disables automatic checkpoints.
 	CheckpointBytes int64
 	// StoreNoFsync elides physical fsyncs in the durable store while
 	// keeping all ordering and accounting. Crash-harness and benchmark
@@ -261,8 +264,10 @@ func WithGroupCommit(size int, delay time.Duration) Option {
 	return func(o *Options) { o.WALGroupSize, o.WALGroupDelay = size, delay }
 }
 
-// WithCheckpointBytes sets the active-WAL-size threshold above which
-// Commit escalates to a checkpoint (negative disables automatic
+// WithCheckpointBytes sets the recovery-replay bound at which Commit
+// escalates to a checkpoint: the active WAL segment's size or the page
+// file's lag (pages logged since the last checkpoint × physical page
+// size), whichever reaches n first (negative disables automatic
 // checkpoints; 0 restores the 4 MiB default).
 func WithCheckpointBytes(n int64) Option { return func(o *Options) { o.CheckpointBytes = n } }
 

@@ -1,8 +1,8 @@
 // Package filestore implements the durable page store: an OS-file
 // page store (FileStore) plus the Durable coordinator that pairs it
-// with the write-ahead log so that the page file never runs ahead of
-// the durable log (the WAL rule, enforced structurally — see
-// DESIGN.md §12).
+// with the write-ahead log so that the page file holds the last
+// checkpoint's state plus pages no durable state references yet (the
+// WAL rule, enforced structurally — see DESIGN.md §12).
 package filestore
 
 import (
@@ -118,6 +118,20 @@ func OpenFileStore(path string, pageSize int, noFsync bool) (*FileStore, error) 
 // PageSize implements buffer.Store.
 func (s *FileStore) PageSize() int { return s.pageSize }
 
+// Pages reports how many pages the file spans: no pid at or above it
+// has ever been written (a torn tail page counts as written).
+func (s *FileStore) Pages() (uint32, error) {
+	st, err := s.f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	body := st.Size() - headerBlock
+	if body <= 0 {
+		return 0, nil
+	}
+	return uint32((body + int64(s.pageSize) - 1) / int64(s.pageSize)), nil
+}
+
 // offset maps a page ID to its file position.
 func (s *FileStore) offset(pid uint32) int64 {
 	return headerBlock + int64(pid)*int64(s.pageSize)
@@ -175,13 +189,22 @@ func (s *FileStore) PeekPage(pid uint32, dst []byte) bool {
 	return err == nil
 }
 
+// syncHook, when set, runs after every successful Sync (fsync elided
+// or not). Tests use it to snapshot what a power loss would keep.
+var syncHook func(*FileStore)
+
 // Sync fsyncs the page file.
 func (s *FileStore) Sync() error {
 	s.fsyncs.Add(1)
-	if s.noFsync {
-		return nil
+	if !s.noFsync {
+		if err := s.f.Sync(); err != nil {
+			return err
+		}
 	}
-	return s.f.Sync()
+	if syncHook != nil {
+		syncHook(s)
+	}
+	return nil
 }
 
 // Close releases the file handle without flushing.

@@ -106,16 +106,27 @@ func TestDurableCommitCheckpointRecover(t *testing.T) {
 	}
 
 	pg := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 256) }
-	// Committed write, then an uncommitted overwrite: only the commit
-	// survives a crash-shaped close.
+	// Fresh pages go straight to the page file.
 	d.WritePage(1, pg(0xA1), 0)
 	d.WritePage(2, pg(0xB2), 0)
+	if err := d.Commit(9, []byte("nine")); err != nil {
+		t.Fatal(err)
+	}
+	// A committed change, then an uncommitted overwrite: only the commit
+	// survives a crash-shaped close.
+	b3 := pg(0xB2)
+	copy(b3[10:20], pg(0xB3))
+	d.WritePage(2, b3, 0)
 	if err := d.Commit(10, []byte("ten")); err != nil {
 		t.Fatal(err)
 	}
 	d.WritePage(1, pg(0xEE), 0)
-	// The WAL rule, structurally: nothing reached the page file yet.
-	if raw, _ := os.ReadFile(filepath.Join(dir, "pages.db")); int64(len(raw)) > headerBlock {
+	// The WAL rule, structurally: logged pages have not reached the page
+	// file, which holds only the two direct writes.
+	raw, _ := os.ReadFile(filepath.Join(dir, "pages.db"))
+	if int64(len(raw)) != headerBlock+3*256 ||
+		!bytes.Equal(raw[headerBlock+256:headerBlock+512], pg(0xA1)) ||
+		!bytes.Equal(raw[headerBlock+512:], pg(0xB2)) {
 		t.Fatalf("page file advanced before checkpoint: %d bytes", len(raw))
 	}
 	d.Close()
@@ -127,18 +138,26 @@ func TestDurableCommitCheckpointRecover(t *testing.T) {
 	if res2.Tag != 10 || string(res2.Meta) != "ten" {
 		t.Fatalf("recovered wrong point: %+v", res2)
 	}
-	if res2.PagesReplayed != 2 {
-		t.Fatalf("replayed %d pages, want 2", res2.PagesReplayed)
+	if res2.PagesReplayed != 1 {
+		t.Fatalf("replayed %d page records, want 1 (page 2's delta)", res2.PagesReplayed)
 	}
 	got := make([]byte, 256)
 	d2.ReadPage(1, got, 0)
 	if !bytes.Equal(got, pg(0xA1)) {
 		t.Fatal("uncommitted overwrite survived recovery")
 	}
+	d2.ReadPage(2, got, 0)
+	if !bytes.Equal(got, b3) {
+		t.Fatal("committed delta lost")
+	}
 
 	// Checkpoint advances the page file and clears the table; state
 	// survives another reopen with nothing left to replay.
+	d2.WritePage(1, pg(0xA4), 0)
 	d2.WritePage(3, pg(0xC3), 0)
+	if d2.DirtyPages() != 1 {
+		t.Fatalf("dirty table holds %d pages, want 1 (page 3 is fresh)", d2.DirtyPages())
+	}
 	if err := d2.Checkpoint(11, []byte("eleven")); err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +174,9 @@ func TestDurableCommitCheckpointRecover(t *testing.T) {
 	if res3.Tag != 11 || res3.PagesReplayed != 0 {
 		t.Fatalf("post-checkpoint recovery: %+v", res3)
 	}
-	for pid, fill := range map[uint32]byte{1: 0xA1, 2: 0xB2, 3: 0xC3} {
+	for pid, want := range map[uint32][]byte{1: pg(0xA4), 2: b3, 3: pg(0xC3)} {
 		d3.ReadPage(pid, got, 0)
-		if !bytes.Equal(got, pg(fill)) {
+		if !bytes.Equal(got, want) {
 			t.Fatalf("page %d lost after checkpointed reopen", pid)
 		}
 	}
@@ -171,13 +190,16 @@ func TestDurableMetrics(t *testing.T) {
 	defer d.Close()
 	reg := obs.NewRegistry()
 	d.RegisterMetrics(reg)
-	d.WritePage(1, make([]byte, 256), 0)
+	d.WritePage(1, make([]byte, 256), 0) // fresh: a direct write
 	d.Commit(1, nil)
+	d.WritePage(1, append(make([]byte, 255), 1), 0) // one byte: a delta
+	d.WritePage(1, bytes.Repeat([]byte{7}, 256), 0) // every byte: an image
 	d.Checkpoint(2, nil)
 	snap := reg.Snapshot()
 	for _, name := range []string{
 		"wal.appends", "wal.commits", "wal.fsyncs", "wal.bytes_written", "wal.rotations",
-		"filestore.writes", "filestore.fsyncs", "filestore.bytes_written",
+		"wal.page_images", "wal.page_deltas",
+		"filestore.writes", "filestore.fsyncs", "filestore.bytes_written", "filestore.direct_writes",
 	} {
 		if snap.Counters[name] == 0 {
 			t.Errorf("counter %s is zero after a checkpoint", name)

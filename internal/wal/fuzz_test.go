@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -56,6 +57,68 @@ func FuzzWALDecode(f *testing.F) {
 				}
 			}
 			off += n
+		}
+	})
+}
+
+// FuzzPageDelta drives arbitrary payloads through ApplyDelta on pages of
+// arbitrary size. Whatever the input — overlapping, unordered,
+// out-of-range or truncated runs — it must never panic and never write
+// outside the page; a rejected payload is a typed buffer.ErrWALCorrupt
+// and leaves the page untouched, and an accepted one changes only bytes
+// its runs cover.
+func FuzzPageDelta(f *testing.F) {
+	base := bytes.Repeat([]byte{3}, 64)
+	img := append([]byte(nil), base...)
+	img[0], img[20], img[63] = 9, 9, 9
+	valid, _ := EncodeDelta(nil, base, img, 64)
+	f.Add(valid, uint16(64))
+	f.Add(valid, uint16(63))                                               // last run past the end
+	f.Add(valid[:len(valid)-1], uint16(64))                                // truncated
+	f.Add(append(append([]byte(nil), valid...), valid[:9]...), uint16(64)) // overlapping
+	f.Add([]byte{}, uint16(16))
+	f.Add(bytes.Repeat([]byte{0xFF}, 24), uint16(4096))
+
+	const guard = 32
+	f.Fuzz(func(t *testing.T, payload []byte, size uint16) {
+		n := int(size % 8192)
+		buf := make([]byte, guard+n+guard)
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+		page := buf[guard : guard+n : guard+n]
+		for i := range page {
+			page[i] = byte(i)
+		}
+		before := append([]byte(nil), page...)
+		err := ApplyDelta(page, payload)
+		for i := 0; i < guard; i++ {
+			if buf[i] != 0xA5 || buf[guard+n+i] != 0xA5 {
+				t.Fatal("ApplyDelta wrote outside the page")
+			}
+		}
+		if err != nil {
+			if !errors.Is(err, buffer.ErrWALCorrupt) {
+				t.Fatalf("untyped delta error: %v", err)
+			}
+			if !bytes.Equal(page, before) {
+				t.Fatal("rejected delta modified the page")
+			}
+			return
+		}
+		covered := make([]bool, n)
+		for off := 0; off < len(payload); {
+			at := int(binary.LittleEndian.Uint32(payload[off:]))
+			l := int(binary.LittleEndian.Uint32(payload[off+4:]))
+			for i := at; i < at+l; i++ {
+				covered[i] = true
+			}
+			off += runHeader + l
+		}
+		for i := range page {
+			if !covered[i] && page[i] != before[i] {
+				t.Fatalf("byte %d changed outside every run", i)
+			}
 		}
 	})
 }

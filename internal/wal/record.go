@@ -3,14 +3,18 @@
 // group commit with fsync batching, segment rotation at checkpoints,
 // and the redo scan that recovery replays.
 //
-// The log is redo-only (ARIES-lite): records carry full physical page
-// images, so recovery never needs undo — it replays committed images
-// in order and discards the uncommitted tail. A record is one of
+// The log is redo-only (ARIES-lite): records carry physical page bytes
+// with absolute values, so recovery never needs undo — it replays
+// committed records in log order and discards the uncommitted tail. A
+// record is one of
 //
-//	page       — full physical image of one page, buffered by recovery
-//	             until the next commit record makes it durable state
-//	commit     — durable point: [tag u64 | meta blob]; every page
-//	             record since the previous commit becomes redo state
+//	page       — full physical image of one page
+//	page delta — the byte ranges of one page that differ from the image
+//	             the log last held for it: [off u32 | len u32 | bytes]
+//	             runs, ascending and non-overlapping (see EncodeDelta)
+//	commit     — durable point: [tag u64 | meta blob]; every page and
+//	             page-delta record since the previous commit becomes
+//	             redo state
 //	checkpoint — same payload as commit, but written as the FIRST
 //	             record of a fresh segment; it anchors recovery (the
 //	             page file is guaranteed to hold the checkpointed
@@ -58,6 +62,7 @@ const (
 	RecPage       RecordType = 1
 	RecCommit     RecordType = 2
 	RecCheckpoint RecordType = 3
+	RecPageDelta  RecordType = 4
 )
 
 // Record is one decoded WAL record. Payload aliases the scan buffer;
@@ -65,7 +70,7 @@ const (
 type Record struct {
 	LSN     uint64
 	Type    RecordType
-	PID     uint32 // page records only; zero otherwise
+	PID     uint32 // page and page-delta records only; zero otherwise
 	Payload []byte
 }
 
@@ -107,7 +112,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		return Record{}, 0, corruptf("bad magic %#x", m)
 	}
 	typ := RecordType(b[16])
-	if typ < RecPage || typ > RecCheckpoint {
+	if typ < RecPage || typ > RecPageDelta {
 		return Record{}, 0, corruptf("invalid record type %d", typ)
 	}
 	if b[17] != 0 || b[18] != 0 || b[19] != 0 {

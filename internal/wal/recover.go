@@ -18,8 +18,9 @@ type RecoveryResult struct {
 	// no commit followed it).
 	Tag  uint64
 	Meta []byte
-	// PagesReplayed counts page images handed to apply; CommitsApplied
-	// counts the commit records that made them durable.
+	// PagesReplayed counts page records (images and deltas) handed to
+	// apply; CommitsApplied counts the commit records that made them
+	// durable.
 	PagesReplayed  int
 	CommitsApplied int
 	// TailTruncated is true when the scan stopped at a damaged record —
@@ -36,18 +37,19 @@ type RecoveryResult struct {
 // Recover performs the ARIES-lite redo scan over dir's segments. It
 // anchors on the newest segment whose leading record is a valid
 // checkpoint (falling back one generation if the newest segment's
-// checkpoint is torn), then replays that segment in order: page images
-// are buffered and handed to apply — in append order — only when a
-// complete, valid commit record follows them; the uncommitted tail is
-// discarded. Framing damage mid-segment ends the scan at the last
-// durable point; it is recorded, not returned, because a torn tail is
-// the expected artifact of a crash. Only apply errors and real I/O
-// failures surface.
+// checkpoint is torn), then replays that segment in order: page and
+// page-delta records are buffered and handed to apply — kind, pid and
+// payload, in append order — only when a complete, valid commit record
+// follows them; the uncommitted tail is discarded. A payload aliases
+// the segment read into memory, so apply must not modify it. Framing
+// damage mid-segment ends the scan at the last durable point; it is
+// recorded, not returned, because a torn tail is the expected artifact
+// of a crash. Only apply errors and real I/O failures surface.
 //
 // Recover does not write anything: the caller syncs the page file it
 // applied into, then calls Start, which seals recovery with a fresh
 // checkpoint segment.
-func Recover(dir string, apply func(pid uint32, img []byte) error) (RecoveryResult, error) {
+func Recover(dir string, apply func(kind RecordType, pid uint32, payload []byte) error) (RecoveryResult, error) {
 	res := RecoveryResult{NextLSN: 1}
 	segs, err := SegmentFiles(dir)
 	if err != nil {
@@ -84,11 +86,7 @@ func Recover(dir string, apply func(pid uint32, img []byte) error) (RecoveryResu
 	res.BaseSeq = segs[base].Seq
 	res.HadState = true
 
-	type img struct {
-		pid uint32
-		buf []byte
-	}
-	var pending []img
+	var pending []Record
 	off := 0
 	for {
 		leading := off == 0
@@ -104,8 +102,8 @@ func Recover(dir string, apply func(pid uint32, img []byte) error) (RecoveryResu
 			res.NextLSN = rec.LSN + 1
 		}
 		switch rec.Type {
-		case RecPage:
-			pending = append(pending, img{pid: rec.PID, buf: append([]byte(nil), rec.Payload...)})
+		case RecPage, RecPageDelta:
+			pending = append(pending, rec)
 		case RecCommit, RecCheckpoint:
 			if rec.Type == RecCheckpoint && !leading {
 				// The format contract only ever places a checkpoint as a
@@ -122,7 +120,7 @@ func Recover(dir string, apply func(pid uint32, img []byte) error) (RecoveryResu
 				return res, nil
 			}
 			for _, p := range pending {
-				if err := apply(p.pid, p.buf); err != nil {
+				if err := apply(p.Type, p.PID, p.Payload); err != nil {
 					return res, err
 				}
 				res.PagesReplayed++

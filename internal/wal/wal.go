@@ -63,6 +63,8 @@ type Log struct {
 	failed error
 
 	appends   atomic.Uint64
+	images    atomic.Uint64
+	deltas    atomic.Uint64
 	commits   atomic.Uint64
 	fsyncs    atomic.Uint64
 	bytes     atomic.Uint64
@@ -248,7 +250,12 @@ func (l *Log) append(typ RecordType, pid uint32, payload []byte) (uint64, error)
 	l.size += int64(len(frame))
 	l.appends.Add(1)
 	l.bytes.Add(uint64(len(frame)))
-	if typ == RecCommit {
+	switch typ {
+	case RecPage:
+		l.images.Add(1)
+	case RecPageDelta:
+		l.deltas.Add(1)
+	case RecCommit:
 		l.commits.Add(1)
 		l.commitsTotal++
 	}
@@ -260,7 +267,13 @@ func (l *Log) AppendPage(pid uint32, img []byte) (uint64, error) {
 	return l.append(RecPage, pid, img)
 }
 
-// AppendCommit logs a durable point: every page image appended since
+// AppendPageDelta logs the byte ranges of page pid that changed since
+// the image the log last held for it (an EncodeDelta payload).
+func (l *Log) AppendPageDelta(pid uint32, delta []byte) (uint64, error) {
+	return l.append(RecPageDelta, pid, delta)
+}
+
+// AppendCommit logs a durable point: every page record appended since
 // the previous commit becomes redo state once this record is synced.
 func (l *Log) AppendCommit(tag uint64, meta []byte) (uint64, error) {
 	return l.append(RecCommit, 0, encodePoint(tag, meta))
@@ -352,7 +365,8 @@ func (l *Log) SyncAll() error {
 // store's checkpoint) must already have made the page file consistent
 // with this durable point — synced WAL, flushed pages, synced page
 // file — before rotating. The sealed segment is retained as the
-// fallback generation; anything older is deleted.
+// fallback generation; anything older is deleted. The sealed segment is
+// fsynced first unless a Sync already covers its last record.
 func (l *Log) Rotate(tag uint64, meta []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -365,15 +379,17 @@ func (l *Log) Rotate(tag uint64, meta []byte) error {
 	if l.failed != nil {
 		return l.failed
 	}
-	if !l.opts.NoFsync {
-		if err := l.active.Sync(); err != nil {
-			l.failed = fmt.Errorf("wal: fsync failed, log disabled until reopen: %w", err)
-			return l.failed
+	if l.syncedLSN < l.lsn {
+		if !l.opts.NoFsync {
+			if err := l.active.Sync(); err != nil {
+				l.failed = fmt.Errorf("wal: fsync failed, log disabled until reopen: %w", err)
+				return l.failed
+			}
 		}
+		l.fsyncs.Add(1)
+		l.syncedLSN = l.lsn
+		l.commitsSynced = l.commitsTotal
 	}
-	l.fsyncs.Add(1)
-	l.syncedLSN = l.lsn
-	l.commitsSynced = l.commitsTotal
 	if err := l.rotateLocked(tag, meta, l.seq, l.seq); err != nil {
 		// A half-finished rotation leaves the active handle and the
 		// directory in an uncertain state; poison the log rather than
@@ -439,6 +455,8 @@ func (l *Log) Stats() Stats {
 // RegisterMetrics exposes the log under the wal.* namespace.
 func (l *Log) RegisterMetrics(reg *obs.Registry) {
 	reg.Counter("wal.appends", l.appends.Load)
+	reg.Counter("wal.page_images", l.images.Load)
+	reg.Counter("wal.page_deltas", l.deltas.Load)
 	reg.Counter("wal.commits", l.commits.Load)
 	reg.Counter("wal.fsyncs", l.fsyncs.Load)
 	reg.Counter("wal.bytes_written", l.bytes.Load)

@@ -77,11 +77,19 @@ func TestDecodeCorruption(t *testing.T) {
 	}
 }
 
-// applyMap collects replayed images keyed by pid (newest wins),
-// mirroring what the page file does.
-func applyMap(m map[uint32][]byte) func(uint32, []byte) error {
-	return func(pid uint32, img []byte) error {
-		m[pid] = append([]byte(nil), img...)
+// applyMap collects replayed pages keyed by pid, mirroring what the
+// page file does: an image replaces the page, a delta patches the page
+// the map already holds.
+func applyMap(m map[uint32][]byte) func(RecordType, uint32, []byte) error {
+	return func(kind RecordType, pid uint32, payload []byte) error {
+		if kind == RecPageDelta {
+			page, ok := m[pid]
+			if !ok {
+				return fmt.Errorf("delta for page %d with no base", pid)
+			}
+			return ApplyDelta(page, payload)
+		}
+		m[pid] = append([]byte(nil), payload...)
 		return nil
 	}
 }
