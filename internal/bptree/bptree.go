@@ -117,11 +117,7 @@ type Tree struct {
 	subsMax    int // micro-index slots
 	subLines   int // cache lines per sub-array
 
-	tr *obs.Tracer
-	// Every operation bumps a counter of ops; the padding keeps those
-	// writes off the cache line of the geometry every search reads,
-	// wherever the allocator puts the struct.
-	_   [64]byte
+	tr  *obs.Tracer
 	ops idx.AtomicOpStats
 }
 

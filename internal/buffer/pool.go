@@ -35,28 +35,29 @@ type Stats struct {
 	PrefetchFailures uint64
 }
 
-// poolStats is the always-atomic backing for Stats, so counters stay
-// exact when shards run concurrently and identical when they do not.
+// poolStats is the backing for Stats: per-P striped counters, so they
+// stay exact when shards run concurrently, identical when they do not,
+// and a warm Get counts itself without writing a cache line another
+// processor writes.
 type poolStats struct {
-	gets, hits, demandMisses    atomic.Uint64
-	prefetchIssue, prefetchHits atomic.Uint64
-	evictions, dirtyWrites      atomic.Uint64
-	retries                     atomic.Uint64
-	checksumFailures            atomic.Uint64
-	prefetchFailures            atomic.Uint64
+	gets, hits, demandMisses    obs.Counter
+	prefetchIssue, prefetchHits obs.Counter
+	evictions, dirtyWrites      obs.Counter
+	retries                     obs.Counter
+	checksumFailures            obs.Counter
+	prefetchFailures            obs.Counter
 	// Contention signals (pool.shard.* metrics). evictLatchFails counts
 	// CLOCK victims skipped because a latch holder was present (the
 	// eviction TryLock refusing to wait); lockedGets counts Gets that
-	// fell off the lock-free fast path onto the shard mutex. Both sit
-	// off the warm pin path, so instrumenting them is atomic adds only.
-	evictLatchFails atomic.Uint64
-	lockedGets      atomic.Uint64
+	// fell off the lock-free fast path onto the shard mutex.
+	evictLatchFails obs.Counter
+	lockedGets      obs.Counter
 	// inflightWaits counts Gets that found their page being read in by
 	// another goroutine and waited for that read; tableLookups counts
 	// pid→frame translations made under a shard mutex (the lock-free
 	// lookup missed, or Prefetch is about to claim a frame).
-	inflightWaits atomic.Uint64
-	tableLookups  atomic.Uint64
+	inflightWaits obs.Counter
+	tableLookups  obs.Counter
 }
 
 // Page is a pinned page handle, passed by value so that pinning never
@@ -403,7 +404,7 @@ func (p *Pool) Stats() Stats {
 // ResetStats zeroes the counters.
 func (p *Pool) ResetStats() {
 	s := &p.stats
-	for _, c := range []*atomic.Uint64{
+	for _, c := range []*obs.Counter{
 		&s.gets, &s.hits, &s.demandMisses, &s.prefetchIssue, &s.prefetchHits,
 		&s.evictions, &s.dirtyWrites, &s.retries, &s.checksumFailures, &s.prefetchFailures,
 		&s.evictLatchFails, &s.lockedGets, &s.inflightWaits, &s.tableLookups,

@@ -1,10 +1,6 @@
 package idx
 
-import (
-	"sync/atomic"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // OpStats counts the operations an index has executed and the node
 // visits they performed. Every variant maintains one (plain uint64
@@ -24,21 +20,23 @@ type OpStats struct {
 	NodeVisits uint64
 }
 
-// AtomicOpStats is the always-atomic backing every variant embeds for
-// its operation counters: plain uint64 increments became data races
-// once the concurrent serving mode let goroutines share a tree, and
-// atomic adds cost the same single-threaded values, so the counters are
-// exact under -race and unchanged in the sequential simulations.
+// AtomicOpStats is the backing every variant embeds for its operation
+// counters: plain uint64 increments became data races once the
+// concurrent serving mode let goroutines share a tree, and one shared
+// atomic word would be a cache line every serving operation writes, so
+// each counter is a per-P striped obs.Counter. The counters are exact
+// under -race and unchanged in the sequential simulations, and the
+// struct keeps the tree fields beside it off its stripes' lines.
 // Snapshot materializes the uniform OpStats view.
 type AtomicOpStats struct {
-	Searches     atomic.Uint64
-	Inserts      atomic.Uint64
-	Deletes      atomic.Uint64
-	Scans        atomic.Uint64
-	ReverseScans atomic.Uint64
-	Batches      atomic.Uint64
-	BatchedKeys  atomic.Uint64
-	NodeVisits   atomic.Uint64
+	Searches     obs.Counter
+	Inserts      obs.Counter
+	Deletes      obs.Counter
+	Scans        obs.Counter
+	ReverseScans obs.Counter
+	Batches      obs.Counter
+	BatchedKeys  obs.Counter
+	NodeVisits   obs.Counter
 }
 
 // Snapshot returns the current counter values as an OpStats.

@@ -62,22 +62,25 @@ const (
 type segment [segSize]atomic.Uint64
 
 // Table maps page IDs to reader/writer latch words. The zero value is
-// not usable; construct with NewTable.
+// not usable; construct with NewTable. Its counters are per-P striped
+// obs.Counters, so that counting an acquisition writes no cache line
+// another processor writes; their padding also keeps segs, which every
+// latch operation loads, on a line no counter shares.
 type Table struct {
 	mu   sync.Mutex // guards growth of the segment directory
 	segs atomic.Pointer[[]*segment]
 
-	shared    atomic.Uint64 // successful shared acquisitions
-	exclusive atomic.Uint64 // successful exclusive acquisitions
-	waits     atomic.Uint64 // reader spins while a writer held the word
-	exclWaits atomic.Uint64 // writer spins while the word was held
-	tryFails  atomic.Uint64 // TryLock/TryRLock calls that found the word held
+	shared    obs.Counter // successful shared acquisitions
+	exclusive obs.Counter // successful exclusive acquisitions
+	waits     obs.Counter // reader spins while a writer held the word
+	exclWaits obs.Counter // writer spins while the word was held
+	tryFails  obs.Counter // TryLock/TryRLock calls that found the word held
 
-	optRestarts  atomic.Uint64 // optimistic descents restarted on version mismatch
-	optFallbacks atomic.Uint64 // optimistic descents that fell back to latched reads
+	optRestarts  obs.Counter // optimistic descents restarted on version mismatch
+	optFallbacks obs.Counter // optimistic descents that fell back to latched reads
 
-	optWrites         atomic.Uint64 // writes finished on the leaf-only path
-	optWriteFallbacks atomic.Uint64 // writes that took the structural path
+	optWrites         obs.Counter // writes finished on the leaf-only path
+	optWriteFallbacks obs.Counter // writes that took the structural path
 }
 
 // NewTable returns an empty latch table.

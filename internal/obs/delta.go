@@ -4,9 +4,9 @@ import "time"
 
 // Delta is the windowed view of two registry snapshots taken a known
 // interval apart: per-counter increments and per-second rates, plus the
-// derived serving signals the online node-width tuner (ROADMAP item 5)
-// and the range-sharded serving tier consume — throughput, buffer hit
-// ratio, fault pressure, and latch-protocol restart pressure. A frozen
+// derived serving signals the /delta endpoint reports — throughput,
+// buffer hit ratio, fault pressure, and latch-protocol restart
+// pressure. A frozen
 // Snapshot answers "how much so far"; a Delta answers "how fast right
 // now".
 type Delta struct {

@@ -11,13 +11,24 @@ import (
 const histBuckets = 65
 
 // Histogram is a fixed-bucket power-of-two latency histogram. Record
-// is O(1), allocation-free, and safe for concurrent use: every field
-// is atomic, so goroutines in the wall-clock serving mode can share
-// one histogram, while the single-threaded simulators pay only
-// uncontended atomic stores. The zero value is ready to use.
+// is O(1), allocation-free, and safe for concurrent use. Like Counter it
+// is striped per processor P: each stripe keeps its own buckets (whose
+// total is its count), sum, min and max on cache lines no other stripe
+// writes, so goroutines
+// in the wall-clock serving mode record without contending, and the
+// readers (Count, Quantile, Snapshot, Reset) merge the stripes. A read
+// racing Records sees each stripe at some moment during the call, not
+// all of them at one instant. The zero value is ready to use.
 type Histogram struct {
+	s [stripes]histStripe
+	_ linePad
+}
+
+// histStripe is one P's share of a Histogram. It keeps no count word:
+// the count is the sum of the buckets, one atomic add fewer per Record.
+type histStripe struct {
+	_       linePad
 	buckets [histBuckets]atomic.Uint64
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	// minP1 holds min+1 so that 0 can mean "no observations yet" in the
 	// zero value (CAS-published); max is a plain CAS-max.
@@ -27,28 +38,53 @@ type Histogram struct {
 
 // Record adds one observation.
 func (h *Histogram) Record(v uint64) {
-	h.buckets[bits.Len64(v)].Add(1)
+	s := &h.s[stripe()]
+	s.buckets[bits.Len64(v)].Add(1)
 	for {
-		cur := h.minP1.Load()
+		cur := s.minP1.Load()
 		if cur != 0 && cur-1 <= v {
 			break
 		}
-		if h.minP1.CompareAndSwap(cur, v+1) {
+		if s.minP1.CompareAndSwap(cur, v+1) {
 			break
 		}
 	}
 	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
+		cur := s.max.Load()
+		if v <= cur || s.max.CompareAndSwap(cur, v) {
 			break
 		}
 	}
-	h.count.Add(1)
-	h.sum.Add(v)
+	s.sum.Add(v)
 }
 
 // Count reports the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 { return h.totals().count }
+
+// histTotals is the stripes of a Histogram merged into one.
+type histTotals struct {
+	buckets                [histBuckets]uint64
+	count, sum, minP1, max uint64
+}
+
+// totals merges the stripes.
+func (h *Histogram) totals() histTotals {
+	var t histTotals
+	for i := range h.s {
+		s := &h.s[i]
+		t.sum += s.sum.Load()
+		if m := s.minP1.Load(); m != 0 && (t.minP1 == 0 || m < t.minP1) {
+			t.minP1 = m
+		}
+		t.max = max(t.max, s.max.Load())
+		for b := range s.buckets {
+			c := s.buckets[b].Load()
+			t.buckets[b] += c
+			t.count += c
+		}
+	}
+	return t
+}
 
 // Quantile reports an upper bound for the q-quantile (q in [0,1]) at
 // bucket granularity, without materializing a snapshot. It is the one
@@ -57,14 +93,13 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // through this math (directly or via HistSnapshot.Quantile), so every
 // surface agrees on p50/p99.
 func (h *Histogram) Quantile(q float64) uint64 {
-	count := h.count.Load()
-	if count == 0 {
+	t := h.totals()
+	if t.count == 0 {
 		return 0
 	}
-	target := quantileTarget(q, count)
+	target := quantileTarget(q, t.count)
 	var seen uint64
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
+	for i, c := range t.buckets {
 		if c == 0 {
 			continue
 		}
@@ -73,7 +108,7 @@ func (h *Histogram) Quantile(q float64) uint64 {
 			return bucketUpperBound(i)
 		}
 	}
-	return h.max.Load()
+	return t.max
 }
 
 // quantileTarget converts a quantile into the rank of the observation
@@ -100,13 +135,15 @@ func bucketUpperBound(i int) uint64 {
 
 // Reset zeroes the histogram.
 func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
+	for i := range h.s {
+		s := &h.s[i]
+		for b := range s.buckets {
+			s.buckets[b].Store(0)
+		}
+		s.sum.Store(0)
+		s.minP1.Store(0)
+		s.max.Store(0)
 	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.minP1.Store(0)
-	h.max.Store(0)
 }
 
 // HistSnapshot is a JSON-friendly copy of a histogram. Buckets lists
@@ -133,12 +170,12 @@ type HistBucket struct {
 
 // Snapshot copies the histogram's current state.
 func (h *Histogram) Snapshot() HistSnapshot {
-	s := HistSnapshot{Count: h.count.Load(), Sum: h.sum.Load(), Max: h.max.Load()}
-	if m := h.minP1.Load(); m > 0 {
-		s.Min = m - 1
+	t := h.totals()
+	s := HistSnapshot{Count: t.count, Sum: t.sum, Max: t.max}
+	if t.minP1 > 0 {
+		s.Min = t.minP1 - 1
 	}
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
+	for i, c := range t.buckets {
 		if c == 0 {
 			continue
 		}

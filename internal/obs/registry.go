@@ -21,9 +21,8 @@ import (
 // exactly. Gauges do not sum; the last registered source wins.
 //
 // Registration and Snapshot are mutex-guarded so a registry may be
-// shared across harness worker goroutines; Histogram handles returned
-// by Histogram() are NOT synchronized, matching the single-threaded
-// simulation discipline of the packages that record into them.
+// shared across harness worker goroutines; the Histogram handles that
+// Histogram() returns are safe for concurrent Record (per-P striped).
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string][]func() uint64
