@@ -131,9 +131,6 @@ type Options struct {
 	// DisableJPA turns off jump-pointer-array range-scan prefetching
 	// (it is on by default for the fpB+-Tree variants).
 	DisableJPA bool
-	// PrefetchWindow is the number of leaf pages a scan keeps in
-	// flight; 0 means the default (16).
-	PrefetchWindow int
 	// TraceEvents > 0 enables the virtual-time event tracer, retaining
 	// the last TraceEvents events in a ring buffer (see WriteTrace).
 	TraceEvents int
@@ -220,9 +217,6 @@ func WithDisks(n int) Option { return func(o *Options) { o.Disks = n } }
 
 // WithoutJPA disables jump-pointer-array prefetching.
 func WithoutJPA() Option { return func(o *Options) { o.DisableJPA = true } }
-
-// WithPrefetchWindow sets the scan prefetch depth.
-func WithPrefetchWindow(n int) Option { return func(o *Options) { o.PrefetchWindow = n } }
 
 // WithTracing enables the virtual-time event tracer, retaining the
 // last events trace records (rounded up to a power of two). Metrics
@@ -476,17 +470,17 @@ func New(options ...Option) (*Tree, error) {
 	switch o.Variant {
 	case DiskFirst:
 		index, err = core.NewDiskFirst(core.DiskFirstConfig{
-			Pool: pool, Model: mm, EnableJPA: jpa, PrefetchWindow: o.PrefetchWindow,
+			Pool: pool, Model: mm, EnableJPA: jpa,
 			Trace: substrateTracer, GappedLeaves: o.GappedLeaves,
 		})
 	case CacheFirst:
 		index, err = core.NewCacheFirst(core.CacheFirstConfig{
-			Pool: pool, Model: mm, EnableJPA: jpa, PrefetchWindow: o.PrefetchWindow,
+			Pool: pool, Model: mm, EnableJPA: jpa,
 			Trace: substrateTracer, GappedLeaves: o.GappedLeaves,
 		})
 	case DiskOptimized:
 		index, err = bptree.New(bptree.Config{
-			Pool: pool, Model: mm, EnableJPA: jpa, PrefetchWindow: o.PrefetchWindow,
+			Pool: pool, Model: mm, EnableJPA: jpa,
 			Trace: substrateTracer,
 		})
 	case MicroIndex:

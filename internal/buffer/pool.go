@@ -426,10 +426,6 @@ func (p *Pool) clockAdvance(t uint64) {
 	}
 }
 
-// AddDelay advances virtual time by d microseconds of consumer-side
-// work (e.g. per-page CPU cost during a scan).
-func (p *Pool) AddDelay(d uint64) { p.clock.Add(d) }
-
 // AllocPageID reserves a fresh page ID (reusing freed ones first).
 func (p *Pool) AllocPageID() uint32 {
 	p.allocMu.Lock()
@@ -564,9 +560,6 @@ func (p *Pool) evictLocked(sh *poolShard, i int) (bool, error) {
 	return true, nil
 }
 
-// FrameCount returns the pool's capacity in frames.
-func (p *Pool) FrameCount() int { return p.totalFrames }
-
 func (p *Pool) fixBusy() {
 	if p.mm != nil {
 		p.mm.Busy(memsim.CostBufferFix)
@@ -635,7 +628,6 @@ type latchMode int8
 const (
 	latchS    latchMode = iota // shared, blocking
 	latchX                     // exclusive, blocking
-	latchTryS                  // shared, non-blocking
 	latchTryX                  // exclusive, non-blocking
 )
 
@@ -657,14 +649,9 @@ func (p *Pool) GetX(pid uint32) (Page, error) {
 	return pg, err
 }
 
-// TryGet pins page pid with the shared latch without blocking on the
-// latch; ok=false means the latch was exclusively held (the page was
-// not pinned). Acquisitions against the latch order use this form.
-func (p *Pool) TryGet(pid uint32) (Page, bool, error) {
-	return p.get(pid, latchTryS)
-}
-
-// TryGetX is TryGet's exclusive counterpart.
+// TryGetX pins page pid with the exclusive latch without blocking on
+// the latch; ok=false means the latch was held (the page was not
+// pinned). Acquisitions against the latch order use this form.
 func (p *Pool) TryGetX(pid uint32) (Page, bool, error) {
 	return p.get(pid, latchTryX)
 }
@@ -791,11 +778,6 @@ func (p *Pool) latchPinned(sh *poolShard, pg Page, mode latchMode) (Page, bool, 
 		p.latches.RLock(pg.ID)
 	case latchX:
 		p.latches.Lock(pg.ID)
-	case latchTryS:
-		if !p.latches.TryRLock(pg.ID) {
-			p.unpin(&sh.frames[pg.frame])
-			return Page{}, false, nil
-		}
 	case latchTryX:
 		if !p.latches.TryLock(pg.ID) {
 			p.unpin(&sh.frames[pg.frame])

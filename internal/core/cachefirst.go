@@ -46,7 +46,7 @@ const (
 	cfOffBackPID  = 10
 	cfOffBackOff  = 14
 
-	cfPageLeaf     = 1
+	// Leaf pages are pageLeaf (1).
 	cfPageNode     = 2
 	cfPageOverflow = 3
 
@@ -91,13 +91,13 @@ type CacheFirstConfig struct {
 
 // CacheFirst is a cache-first fpB+-Tree.
 type CacheFirst struct {
+	pbNode
+
 	pool *buffer.Pool
-	mm   *memsim.Model
 
 	pageSize  int
 	pageLines int
 	s         int // node size in lines
-	capL      int
 	capN      int
 	perPage   int // node slots per page
 	fanout    int // leaf entries per leaf page
@@ -112,13 +112,6 @@ type CacheFirst struct {
 	pages       map[uint32]byte // page kind registry (the space map)
 	overflowCur uint32          // overflow page currently being filled
 	noUnderfill bool            // ablation: disable bitmap-spread filling
-	gapped      bool            // leaf nodes keep interleaved empty slots
-
-	// shiftHist, when attached, records keys moved per leaf insert (both
-	// layouts record, so dense vs gapped shift costs are comparable);
-	// gapFills counts gapped inserts that filled a gap with zero shifts.
-	shiftHist *obs.Histogram
-	gapFills  atomic.Uint64
 
 	tr  *obs.Tracer
 	ops idx.AtomicOpStats
@@ -177,12 +170,16 @@ func NewCacheFirst(cfg CacheFirstConfig) (*CacheFirst, error) {
 		pf = 16
 	}
 	return &CacheFirst{
+		pbNode: pbNode{
+			mm:     cfg.Model,
+			hdr:    cfNodeHdr,
+			capL:   sizing.CacheFirstLeafCap(s),
+			gapped: cfg.GappedLeaves,
+		},
 		pool:        cfg.Pool,
-		mm:          cfg.Model,
 		pageSize:    ps,
 		pageLines:   ps / lineSize,
 		s:           s,
-		capL:        sizing.CacheFirstLeafCap(s),
 		capN:        sizing.CacheFirstNonleafCap(s),
 		perPage:     perPage,
 		fanout:      perPage * sizing.CacheFirstLeafCap(s),
@@ -191,7 +188,6 @@ func NewCacheFirst(cfg CacheFirstConfig) (*CacheFirst, error) {
 		jpa:         jparray.New(),
 		pages:       make(map[uint32]byte),
 		noUnderfill: cfg.NoUnderflowFill,
-		gapped:      cfg.GappedLeaves,
 		tr:          cfg.Trace,
 		conc:        cfg.Pool.Latches() != nil,
 		opt:         cfg.Pool.OptSupported(),
@@ -321,30 +317,15 @@ func cfSetBack(d []byte, p ptr) {
 }
 
 // --- node accessors (off is the node's line number in its page) ---
+// Count, keys and leaf tuple IDs are pbNode's: nonleaf nodes share the
+// leaf nodes' header and key positions.
 
-func (t *CacheFirst) cCount(d []byte, off int) int { return int(le.Uint16(d[nodeBase(off):])) }
-func (t *CacheFirst) cSetCount(d []byte, off, v int) {
-	le.PutUint16(d[nodeBase(off):], uint16(v))
-}
 func (t *CacheFirst) cNextLeaf(d []byte, off int) ptr {
 	return ptr{le.Uint32(d[nodeBase(off)+2:]), int(le.Uint16(d[nodeBase(off)+6:]))}
 }
 func (t *CacheFirst) cSetNextLeaf(d []byte, off int, p ptr) {
 	le.PutUint32(d[nodeBase(off)+2:], p.pid)
 	le.PutUint16(d[nodeBase(off)+6:], uint16(p.off))
-}
-
-func (t *CacheFirst) cKeyPos(off, i int) int            { return nodeBase(off) + cfNodeHdr + 4*i }
-func (t *CacheFirst) cKey(d []byte, off, i int) idx.Key { return le.Uint32(d[t.cKeyPos(off, i):]) }
-func (t *CacheFirst) cSetKey(d []byte, off, i int, k idx.Key) {
-	le.PutUint32(d[t.cKeyPos(off, i):], k)
-}
-
-// leaf tuple IDs
-func (t *CacheFirst) cTidPos(off, i int) int                { return nodeBase(off) + cfNodeHdr + 4*t.capL + 4*i }
-func (t *CacheFirst) cTid(d []byte, off, i int) idx.TupleID { return le.Uint32(d[t.cTidPos(off, i):]) }
-func (t *CacheFirst) cSetTid(d []byte, off, i int, v idx.TupleID) {
-	le.PutUint32(d[t.cTidPos(off, i):], v)
 }
 
 // nonleaf child pointers
@@ -464,207 +445,6 @@ func (t *CacheFirst) visitNode(pg buffer.Page, off int) {
 		t.tr.NodeVisit(pg.ID, off, t.mm.Now(), t.pool.Clock())
 	}
 }
-
-// probe reads and compares one key at a byte position in the page.
-func (t *CacheFirst) probe(pg buffer.Page, pos int) idx.Key {
-	t.mm.Access(pg.Addr+uint64(pos), 4)
-	t.mm.Busy(memsim.CostCompare)
-	t.mm.Other(memsim.CostComparePenalty)
-	return le.Uint32(pg.Data[pos:])
-}
-
-// searchNode finds the largest slot of node off with key <= k (lt: <
-// k); exact reports equality (for <= searches only, matching the
-// binary search it replaced). Works for both node kinds (keys are at
-// the same offsets). Dense nodes answer via the data-parallel SWAR
-// scan (see swar.go) and then replay the binary search's exact probe
-// sequence for the memory model, so every simulation table is
-// unchanged; gapped leaf nodes use the sentinel-skipping positional
-// scan, whose answer is the highest live physical slot satisfying the
-// bound.
-func (t *CacheFirst) searchNode(pg buffer.Page, off int, k idx.Key, lt bool) (int, bool) {
-	d := pg.Data
-	if t.gappedLeafPage(d) {
-		slot, anyEq := swarScanGapped(d, t.cKeyPos(off, 0), t.capL, k, lt)
-		t.chargeGappedScan(pg, t.cKeyPos(off, 0), t.capL)
-		return slot, !lt && anyEq
-	}
-	cnt := t.cCount(d, off)
-	base := t.cKeyPos(off, 0)
-	var lo int
-	if cnt <= swarWindow {
-		// Window-sized node: straight to the lane scan, skipping the
-		// hybrid's call frame (see the disk-first searchLeafNode).
-		cLT, cGT := swarCountWords(d[base:], cnt>>1, swarBcast(k))
-		if cnt&1 != 0 {
-			last := idx.Key(le.Uint32(d[base+4*(cnt-1):]))
-			cLT += b2i(last < k)
-			cGT += b2i(last > k)
-		}
-		lo = swarBound(cnt, cLT, cGT, lt)
-	} else {
-		lo = swarScanSorted(d, base, cnt, k, lt)
-	}
-	// On a sorted node the exact-match bit is just "the predecessor
-	// equals k": one load instead of a second counting pass.
-	exact := !lt && lo > 0 && idx.Key(le.Uint32(d[base+4*(lo-1):])) == k
-	// Checked here as well as inside the replay: in wall-clock mode
-	// this saves the call entirely, and searches are the hot path.
-	if !t.mm.Concurrent() {
-		t.replaySearchCharges(pg, off, cnt, lo)
-	}
-	return lo - 1, exact
-}
-
-// searchNodeBranchless is the pre-SWAR branchless binary search, kept
-// as the comparison baseline for benchmarks and the fuzz oracle.
-func (t *CacheFirst) searchNodeBranchless(pg buffer.Page, off int, k idx.Key, lt bool) (int, bool) {
-	lo, hi := 0, t.cCount(pg.Data, off)
-	ge := b2i(!lt)
-	exact := 0
-	for lo < hi {
-		mid := (lo + hi) / 2
-		mk := t.probe(pg, t.cKeyPos(off, mid))
-		eq := b2i(mk == k)
-		right := b2i(mk < k) | ge&eq
-		exact |= right & eq
-		lo += right * (mid + 1 - lo)
-		hi = mid + right*(hi-mid)
-	}
-	return lo - 1, exact != 0
-}
-
-// replaySearchCharges re-issues the memory-model charges of the
-// branchless binary search over cnt keys that ends at bound finalLo.
-// The search's go-right decision at each probe is `mid < finalLo` (lo
-// only ever advances past probed keys that qualify, hi only ever drops
-// onto probed keys that do not), so the probe sequence is a pure
-// function of (cnt, finalLo) and can be replayed without re-comparing.
-// Skipped in serving mode, where charge entry points are no-ops.
-func (t *CacheFirst) replaySearchCharges(pg buffer.Page, off, cnt, finalLo int) {
-	if t.mm.Concurrent() {
-		return
-	}
-	lo, hi := 0, cnt
-	for lo < hi {
-		mid := (lo + hi) / 2
-		t.mm.Access(pg.Addr+uint64(t.cKeyPos(off, mid)), 4)
-		t.mm.Busy(memsim.CostCompare)
-		t.mm.Other(memsim.CostComparePenalty)
-		right := b2i(mid < finalLo)
-		lo += right * (mid + 1 - lo)
-		hi = mid + right*(hi-mid)
-	}
-}
-
-// chargeGappedScan charges a gapped search: one sequential read of the
-// full slot array and one compare per SWAR word (two slots), with a
-// single mispredict-style penalty for the whole pass.
-func (t *CacheFirst) chargeGappedScan(pg buffer.Page, base, slots int) {
-	if t.mm.Concurrent() {
-		return
-	}
-	t.mm.Access(pg.Addr+uint64(base), 4*slots)
-	t.mm.Busy(memsim.CostCompare * uint64((slots+1)/2))
-	t.mm.Other(memsim.CostComparePenalty)
-}
-
-// gappedLeafPage reports whether nodes of this page use the gapped
-// leaf layout. Only leaf pages do: nonleaf nodes keep dense arrays.
-func (t *CacheFirst) gappedLeafPage(d []byte) bool {
-	return t.gapped && cfKind(d) == cfPageLeaf
-}
-
-// cSlots is the physical slot bound of a leaf node's key array: capL
-// for gapped nodes (count tracks occupancy only), count for dense.
-func (t *CacheFirst) cSlots(d []byte, off int) int {
-	if t.gappedLeafPage(d) {
-		return t.capL
-	}
-	return t.cCount(d, off)
-}
-
-// cNextOccupied returns the first live slot >= i of a leaf node, or -1.
-// In dense mode that is i itself while below count — structurally the
-// same bound check it replaces at call sites, with no model charges.
-func (t *CacheFirst) cNextOccupied(d []byte, off, i int) int {
-	if !t.gappedLeafPage(d) {
-		if i < t.cCount(d, off) {
-			return i
-		}
-		return -1
-	}
-	for ; i < t.capL; i++ {
-		if t.cKey(d, off, i) != gapSentinel {
-			return i
-		}
-	}
-	return -1
-}
-
-// cFirstOccupied returns the lowest live slot of a leaf node, or -1 if
-// the node is empty. Spreads keep entry 0 at physical slot 0, but a
-// delete can punch that slot, so gapped nodes scan.
-func (t *CacheFirst) cFirstOccupied(d []byte, off int) int {
-	if !t.gappedLeafPage(d) {
-		if t.cCount(d, off) > 0 {
-			return 0
-		}
-		return -1
-	}
-	return t.cNextOccupied(d, off, 0)
-}
-
-// sentinelFillLeaf marks every key slot of a fresh gapped leaf node as
-// a gap. Required on every allocation: slots are zero-filled and key 0
-// is a valid key, not a gap.
-func (t *CacheFirst) sentinelFillLeaf(d []byte, off int) {
-	for i := 0; i < t.capL; i++ {
-		t.cSetKey(d, off, i, gapSentinel)
-	}
-}
-
-// spreadLeafLoad lays cnt (key, tid) pairs from src into a gapped leaf
-// node with the gaps interleaved evenly: pair j goes to physical slot
-// floor(j*capL/cnt). Entry 0 always lands on slot 0, so the node min
-// stays at a fixed position.
-func (t *CacheFirst) spreadLeafLoad(d []byte, off int, es []idx.Entry) {
-	t.sentinelFillLeaf(d, off)
-	cnt := len(es)
-	for j, e := range es {
-		slot := j * t.capL / cnt
-		t.cSetKey(d, off, slot, e.Key)
-		t.cSetTid(d, off, slot, e.TID)
-	}
-	t.cSetCount(d, off, cnt)
-}
-
-// leafSplitAt is the occupancy at which a leaf node is treated as full
-// by the preemptive split on descent. Dense nodes split only when
-// physically full; gapped nodes split at two-thirds capacity,
-// packed-memory-array style: past that density the nearest gap is many
-// slots away and every insert degenerates to a dense-style long shift
-// (or a rebalance), so gapped mode trades a third of the slots to keep
-// inserts O(gap distance).
-func (t *CacheFirst) leafSplitAt() int {
-	if t.gapped {
-		return t.capL - t.capL/3
-	}
-	return t.capL
-}
-
-// recordShift notes how many keys one leaf insert moved.
-func (t *CacheFirst) recordShift(moved int) {
-	if t.shiftHist != nil {
-		t.shiftHist.Record(uint64(moved))
-	}
-}
-
-// GapFills reports how many inserts filled a gap with zero key moves.
-func (t *CacheFirst) GapFills() uint64 { return t.gapFills.Load() }
-
-// AttachShiftHistogram wires the node.insert_shift_keys histogram.
-func (t *CacheFirst) AttachShiftHistogram(h *obs.Histogram) { t.shiftHist = h }
 
 // getPage pins a page, reusing cur if it is already the right one.
 // Returns the page and whether it was newly pinned.

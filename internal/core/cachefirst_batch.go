@@ -55,7 +55,7 @@ func (t *CacheFirst) SearchBatch(keys []idx.Key, out []idx.SearchResult) ([]idx.
 					lastOff = off
 				}
 				k := keys[s.Ord[j]]
-				slot, _ := t.searchNode(pg, int(off), k, true)
+				slot, _ := t.search(pg, int(off), k, true)
 				if slot < 0 {
 					slot = 0
 				}
@@ -125,13 +125,13 @@ func (t *CacheFirst) resolveLeaf(pg buffer.Page, at ptr, k idx.Key) (idx.TupleID
 			owned = true
 		}
 		t.visitNode(cpg, cur.off)
-		slot, _ := t.searchNode(cpg, cur.off, k, true)
-		slot = t.cNextOccupied(cpg.Data, cur.off, slot+1)
+		slot, _ := t.search(cpg, cur.off, k, true)
+		slot = t.nextOccupied(cpg.Data, cur.off, slot+1)
 		if slot >= 0 {
-			t.mm.Access(cpg.Addr+uint64(t.cKeyPos(cur.off, slot)), 4)
-			if t.cKey(cpg.Data, cur.off, slot) == k {
-				t.mm.Access(cpg.Addr+uint64(t.cTidPos(cur.off, slot)), 4)
-				tid := t.cTid(cpg.Data, cur.off, slot)
+			t.mm.Access(cpg.Addr+uint64(t.keyPos(cur.off, slot)), 4)
+			if t.key(cpg.Data, cur.off, slot) == k {
+				t.mm.Access(cpg.Addr+uint64(t.ptrPos(cur.off, slot)), 4)
+				tid := t.ptrAt(cpg.Data, cur.off, slot)
 				unpin()
 				return tid, true, nil
 			}

@@ -60,7 +60,7 @@ func (t *CacheFirst) Bulkload(entries []idx.Entry, fill float64) error {
 		if !pg.Valid() || !t.hasSlot(pg.Data) {
 			flushPage()
 			var err error
-			if pg, err = t.newPage(cfPageLeaf); err != nil {
+			if pg, err = t.newPage(pageLeaf); err != nil {
 				return err
 			}
 			t.jpaAppend(pg.ID)
@@ -70,12 +70,12 @@ func (t *CacheFirst) Bulkload(entries []idx.Entry, fill float64) error {
 		if t.gapped {
 			// Interleave the node's free slots with its entries (entry 0
 			// still lands on slot 0, so the min read below is unchanged).
-			t.spreadLeafLoad(d, off, es)
+			t.spread(d, off, es)
 		} else {
-			t.cSetCount(d, off, len(es))
+			t.setCount(d, off, len(es))
 			for i, e := range es {
-				t.cSetKey(d, off, i, e.Key)
-				t.cSetTid(d, off, i, e.TID)
+				t.setKey(d, off, i, e.Key)
+				t.setPtr(d, off, i, e.TID)
 			}
 		}
 		at := ptr{pg.ID, off}
@@ -178,9 +178,9 @@ func (t *CacheFirst) Bulkload(entries []idx.Entry, fill float64) error {
 			}
 			d := pg.Data
 			off := sp.placed.off
-			t.cSetCount(d, off, len(sp.keys))
+			t.setCount(d, off, len(sp.keys))
 			for i, k := range sp.keys {
-				t.cSetKey(d, off, i, k)
+				t.setKey(d, off, i, k)
 				if sp.leafPtrs != nil {
 					t.cSetChild(d, off, i, sp.leafPtrs[i])
 				} else {

@@ -35,8 +35,8 @@ func (t *CacheFirst) CheckInvariants() error {
 		if err != nil {
 			return err
 		}
-		for j := t.cNextOccupied(pg.Data, cur.off, 0); j >= 0; j = t.cNextOccupied(pg.Data, cur.off, j+1) {
-			k := t.cKey(pg.Data, cur.off, j)
+		for j := t.nextOccupied(pg.Data, cur.off, 0); j >= 0; j = t.nextOccupied(pg.Data, cur.off, j+1) {
+			k := t.key(pg.Data, cur.off, j)
 			if have && k < last {
 				t.pool.Unpin(pg, false)
 				return fmt.Errorf("cachefirst: keys regress across leaf chain at %v", cur)
@@ -176,11 +176,11 @@ func (t *CacheFirst) checkNode(at ptr, lvl int, lo, hi *idx.Key, st *cfCheckStat
 	}
 	d := pg.Data
 	kind := cfKind(d)
-	cnt := t.cCount(d, at.off)
+	cnt := t.count(d, at.off)
 	release := func() { t.pool.Unpin(pg, false) }
 
 	if lvl == 0 {
-		if kind != cfPageLeaf {
+		if kind != pageLeaf {
 			release()
 			return fmt.Errorf("cachefirst: leaf node %v in page kind %d", at, kind)
 		}
@@ -202,13 +202,13 @@ func (t *CacheFirst) checkNode(at ptr, lvl int, lo, hi *idx.Key, st *cfCheckStat
 			return fmt.Errorf("cachefirst: nonleaf %v count %d out of range", at, cnt)
 		}
 	}
-	if lvl == 0 && t.gappedLeafPage(d) {
+	if lvl == 0 && t.gappedPage(d) {
 		// Gapped leaf: count is occupancy; live keys must be sorted
 		// among themselves across the gaps.
 		occ := 0
 		var prev idx.Key
 		for j := 0; j < t.capL; j++ {
-			k := t.cKey(d, at.off, j)
+			k := t.key(d, at.off, j)
 			if k == gapSentinel {
 				continue
 			}
@@ -233,8 +233,8 @@ func (t *CacheFirst) checkNode(at ptr, lvl int, lo, hi *idx.Key, st *cfCheckStat
 		}
 	} else {
 		for j := 0; j < cnt; j++ {
-			k := t.cKey(d, at.off, j)
-			if j > 0 && k < t.cKey(d, at.off, j-1) {
+			k := t.key(d, at.off, j)
+			if j > 0 && k < t.key(d, at.off, j-1) {
 				release()
 				return fmt.Errorf("cachefirst: node %v unsorted at %d", at, j)
 			}
@@ -264,7 +264,7 @@ func (t *CacheFirst) checkNode(at ptr, lvl int, lo, hi *idx.Key, st *cfCheckStat
 	children := make([]childRef, cnt)
 	keys := make([]idx.Key, cnt)
 	for j := 0; j < cnt; j++ {
-		keys[j] = t.cKey(d, at.off, j)
+		keys[j] = t.key(d, at.off, j)
 	}
 	for j := 0; j < cnt; j++ {
 		lob := &keys[j]

@@ -54,7 +54,7 @@ func (t *CacheFirst) descendConc(k idx.Key, lt bool, e uint64) (buffer.Page, ptr
 	cur := root
 	for lvl := height - 1; lvl > 0; lvl-- {
 		t.visitNode(pg, cur.off)
-		slot, _ := t.searchNode(pg, cur.off, k, lt)
+		slot, _ := t.search(pg, cur.off, k, lt)
 		if slot < 0 {
 			slot = 0
 		}
@@ -110,11 +110,11 @@ func (t *CacheFirst) findFirstConc(k idx.Key) (buffer.Page, ptr, int, bool, erro
 				}
 			}
 			t.visitNode(pg, cur.off)
-			slot, _ := t.searchNode(pg, cur.off, k, true)
-			slot = t.cNextOccupied(pg.Data, cur.off, slot+1)
+			slot, _ := t.search(pg, cur.off, k, true)
+			slot = t.nextOccupied(pg.Data, cur.off, slot+1)
 			if slot >= 0 {
-				t.mm.Access(pg.Addr+uint64(t.cKeyPos(cur.off, slot)), 4)
-				if t.cKey(pg.Data, cur.off, slot) == k {
+				t.mm.Access(pg.Addr+uint64(t.keyPos(cur.off, slot)), 4)
+				if t.key(pg.Data, cur.off, slot) == k {
 					return pg, cur, slot, true, nil
 				}
 				t.pool.Unpin(pg, false)
@@ -166,7 +166,7 @@ func (t *CacheFirst) deleteConc(k idx.Key) (bool, error) {
 		}
 		pg = npg
 		t.visitNode(pg, cur.off)
-		slot, _ := t.searchNode(pg, cur.off, k, true)
+		slot, _ := t.search(pg, cur.off, k, true)
 		if slot < 0 {
 			slot = 0
 		}
@@ -203,10 +203,11 @@ func (t *CacheFirst) deleteConc(k idx.Key) (bool, error) {
 func (t *CacheFirst) deleteInPage(pg buffer.Page, cur ptr, k idx.Key) (found, decided bool, next ptr) {
 	for ; cur.pid == pg.ID; cur = t.cNextLeaf(pg.Data, cur.off) {
 		t.visitNode(pg, cur.off)
-		slot, _ := t.searchNode(pg, cur.off, k, true)
-		if slot = t.cNextOccupied(pg.Data, cur.off, slot+1); slot >= 0 {
-			if found = t.cKey(pg.Data, cur.off, slot) == k; found {
-				t.deleteAt(pg, cur, slot)
+		slot, _ := t.search(pg, cur.off, k, true)
+		if slot = t.nextOccupied(pg.Data, cur.off, slot+1); slot >= 0 {
+			if found = t.key(pg.Data, cur.off, slot) == k; found {
+				t.remove(pg, cur.off, slot)
+				t.pool.Unpin(pg, true)
 			} else {
 				t.pool.Unpin(pg, false)
 			}
@@ -228,7 +229,7 @@ func (t *CacheFirst) rangeScanConc(startKey, endKey idx.Key, fn func(idx.Key, id
 		return 0, nil
 	}
 	// s.lo is the lower bound of the current attempt.
-	s := nodeScan{mm: t.mm, lo: startKey, hi: endKey, fn: fn}
+	s := nodeScan{n: &t.pbNode, lo: startKey, hi: endKey, fn: fn}
 	var bo latch.Backoff
 	for {
 		e := t.relocEpoch()
@@ -262,11 +263,11 @@ func (t *CacheFirst) rangeScanConc(startKey, endKey idx.Key, fn func(idx.Key, id
 			from := 0
 			if first {
 				// Position past the keys below the attempt's lower bound.
-				slot, _ := t.searchNode(pg, cur.off, s.lo, true)
+				slot, _ := t.search(pg, cur.off, s.lo, true)
 				from = slot + 1
 				first = false
 			}
-			if s.node(pg, t.cKeyPos(cur.off, 0), t.capL, from, t.cSlots(d, cur.off), t.gappedLeafPage(d)) {
+			if s.node(pg, cur.off, from, t.slots(d, cur.off)) {
 				t.pool.Unpin(pg, false)
 				return s.count, nil
 			}
@@ -299,7 +300,7 @@ func (t *CacheFirst) rangeScanReverseConc(startKey, endKey idx.Key, fn func(idx.
 		return 0, nil
 	}
 	// s.hi is the upper bound of the current attempt.
-	s := nodeScan{mm: t.mm, lo: startKey, hi: endKey, reverse: true, fn: fn}
+	s := nodeScan{n: &t.pbNode, lo: startKey, hi: endKey, reverse: true, fn: fn}
 	var bo latch.Backoff
 restart:
 	for {
@@ -366,8 +367,8 @@ func (t *CacheFirst) searchBatchConc(keys []idx.Key, out []idx.SearchResult, bas
 			return out, err
 		}
 		if found {
-			t.mm.Access(pg.Addr+uint64(t.cTidPos(at.off, slot)), 4)
-			tid := t.cTid(pg.Data, at.off, slot)
+			t.mm.Access(pg.Addr+uint64(t.ptrPos(at.off, slot)), 4)
+			tid := t.ptrAt(pg.Data, at.off, slot)
 			t.pool.Unpin(pg, false)
 			out[base+ki] = idx.SearchResult{TID: tid, Found: true}
 		} else {

@@ -54,12 +54,13 @@ func (t *CacheFirst) insertLeafOpt(k idx.Key, tid idx.TupleID) bool {
 	if !ok {
 		return false
 	}
-	if t.cCount(pg.Data, leaf.off) >= t.leafSplitAt() {
+	if t.count(pg.Data, leaf.off) >= t.splitAt(pg.Data) {
 		t.pool.Unpin(pg, false)
 		return false
 	}
 	t.visitNode(pg, leaf.off)
-	t.leafInsert(pg, leaf.off, k, tid)
+	slot, _ := t.search(pg, leaf.off, k, false)
+	t.insert(pg, leaf.off, slot, k, tid)
 	t.pool.Unpin(pg, true)
 	t.pool.Latches().OptWrite()
 	return true

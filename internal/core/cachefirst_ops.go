@@ -23,8 +23,8 @@ func (t *CacheFirst) Search(k idx.Key) (idx.TupleID, bool, error) {
 	if err != nil || !found {
 		return 0, false, err
 	}
-	t.mm.Access(pg.Addr+uint64(t.cTidPos(at.off, slot)), 4)
-	tid := t.cTid(pg.Data, at.off, slot)
+	t.mm.Access(pg.Addr+uint64(t.ptrPos(at.off, slot)), 4)
+	tid := t.ptrAt(pg.Data, at.off, slot)
 	t.pool.Unpin(pg, false)
 	return tid, true, nil
 }
@@ -58,11 +58,11 @@ func (t *CacheFirst) findFirst(k idx.Key) (buffer.Page, ptr, int, bool, error) {
 		}
 		pg = npg
 		t.visitNode(pg, cur.off)
-		slot, _ := t.searchNode(pg, cur.off, k, true)
-		slot = t.cNextOccupied(pg.Data, cur.off, slot+1)
+		slot, _ := t.search(pg, cur.off, k, true)
+		slot = t.nextOccupied(pg.Data, cur.off, slot+1)
 		if slot >= 0 {
-			t.mm.Access(pg.Addr+uint64(t.cKeyPos(cur.off, slot)), 4)
-			if t.cKey(pg.Data, cur.off, slot) == k {
+			t.mm.Access(pg.Addr+uint64(t.keyPos(cur.off, slot)), 4)
+			if t.key(pg.Data, cur.off, slot) == k {
 				return pg, cur, slot, true, nil
 			}
 			t.pool.Unpin(pg, false)
@@ -100,7 +100,7 @@ func (t *CacheFirst) Insert(k idx.Key, tid idx.TupleID) error {
 		t.pool.Latches().OptWriteFallback()
 	}
 	if root, _ := t.rootPtrHeight(); root.isNil() {
-		pg, err := t.newPage(cfPageLeaf)
+		pg, err := t.newPage(pageLeaf)
 		if err != nil {
 			return err
 		}
@@ -108,7 +108,7 @@ func (t *CacheFirst) Insert(k idx.Key, tid idx.TupleID) error {
 		if t.gapped {
 			// Slots are zero-filled and key 0 is valid: mark every slot
 			// of the fresh leaf node as a gap explicitly.
-			t.sentinelFillLeaf(pg.Data, off)
+			t.sentinelFill(pg.Data, off)
 		}
 		t.pool.Unpin(pg, true)
 		t.jpaAppend(pg.ID)
@@ -165,12 +165,12 @@ func (t *CacheFirst) insertOnce(k idx.Key, tid idx.TupleID) (bool, error) {
 			return false, err
 		}
 		t.visitNode(pg, cur.off)
-		slot, _ := t.searchNode(pg, cur.off, k, false)
+		slot, _ := t.search(pg, cur.off, k, false)
 		if slot < 0 {
 			slot = 0
-			if t.cKey(pg.Data, cur.off, 0) > k {
-				t.cSetKey(pg.Data, cur.off, 0, k)
-				t.mm.Access(pg.Addr+uint64(t.cKeyPos(cur.off, 0)), 4)
+			if t.key(pg.Data, cur.off, 0) > k {
+				t.setKey(pg.Data, cur.off, 0, k)
+				t.mm.Access(pg.Addr+uint64(t.keyPos(cur.off, 0)), 4)
 				dirty = true
 			}
 		}
@@ -206,8 +206,8 @@ func (t *CacheFirst) insertOnce(k idx.Key, tid idx.TupleID) (bool, error) {
 	if err := step(cur.pid); err != nil {
 		return false, err
 	}
-	if t.cCount(pg.Data, cur.off) >= t.leafSplitAt() {
-		// leafInsert would write past a full node's arrays. Leaf-only
+	if t.count(pg.Data, cur.off) >= t.splitAt(pg.Data) {
+		// insert would write past a full node's arrays. Leaf-only
 		// writers fill nodes without wMu; the latch held on the parent's
 		// page since childFull fails their validation, and this re-check
 		// keeps the guarantee local to the page being written.
@@ -215,7 +215,8 @@ func (t *CacheFirst) insertOnce(k idx.Key, tid idx.TupleID) (bool, error) {
 		return true, nil
 	}
 	t.visitNode(pg, cur.off)
-	t.leafInsert(pg, cur.off, k, tid)
+	slot, _ := t.search(pg, cur.off, k, false)
+	t.insert(pg, cur.off, slot, k, tid)
 	t.pool.Unpin(pg, true)
 	return false, nil
 }
@@ -256,9 +257,9 @@ func (t *CacheFirst) childFull(pg buffer.Page, child ptr, childLvl int) (bool, b
 	}
 	cap := t.capN
 	if childLvl == 0 {
-		cap = t.leafSplitAt()
+		cap = t.splitAt(cpg.Data)
 	}
-	return t.cCount(cpg.Data, child.off) >= cap, cpg, nil
+	return t.count(cpg.Data, child.off) >= cap, cpg, nil
 }
 
 // maybeGrowRoot adds a level when the root node is full. The new
@@ -272,13 +273,13 @@ func (t *CacheFirst) maybeGrowRoot() error {
 	}
 	cap := t.capN
 	if height == 1 {
-		cap = t.leafSplitAt()
+		cap = t.splitAt(pg.Data)
 	}
-	if t.cCount(pg.Data, root.off) < cap {
+	if t.count(pg.Data, root.off) < cap {
 		t.pool.Unpin(pg, false)
 		return nil
 	}
-	oldMin := t.cKey(pg.Data, root.off, 0)
+	oldMin := t.key(pg.Data, root.off, 0)
 	// Place the new root: in the old root's page if that is a node page
 	// with a slot, else as the top node of a fresh node page.
 	var at ptr
@@ -286,8 +287,8 @@ func (t *CacheFirst) maybeGrowRoot() error {
 		off := t.allocSlot(pg.Data)
 		at = ptr{pg.ID, off}
 		cfSetTop(pg.Data, off)
-		t.cSetCount(pg.Data, off, 1)
-		t.cSetKey(pg.Data, off, 0, oldMin)
+		t.setCount(pg.Data, off, 1)
+		t.setKey(pg.Data, off, 0, oldMin)
 		t.cSetChild(pg.Data, off, 0, root)
 		t.pool.Unpin(pg, true)
 	} else {
@@ -299,8 +300,8 @@ func (t *CacheFirst) maybeGrowRoot() error {
 		off := t.allocSlot(np.Data)
 		at = ptr{np.ID, off}
 		cfSetTop(np.Data, off)
-		t.cSetCount(np.Data, off, 1)
-		t.cSetKey(np.Data, off, 0, oldMin)
+		t.setCount(np.Data, off, 1)
+		t.setKey(np.Data, off, 0, oldMin)
 		t.cSetChild(np.Data, off, 0, root)
 		t.pool.Unpin(np, true)
 	}
@@ -383,35 +384,21 @@ func (t *CacheFirst) splitChild(pg buffer.Page, parent ptr, slot int, cpg buffer
 	}
 
 	// Move the upper half of child to right.
-	cd, rd := cpg.Data, rpg.Data
-	cnt := t.cCount(cd, child.off)
-	mid := cnt / 2
-	moved := cnt - mid
+	var sep idx.Key
 	if childLvl == 0 {
-		if t.gappedLeafPage(cd) {
-			// Gapped leaves split early (at the occupancy threshold), so
-			// the live entries are collected across the gaps and each half
-			// is re-spread with fresh interleaved gaps.
-			es := make([]idx.Entry, 0, cnt)
-			for i := t.cNextOccupied(cd, child.off, 0); i >= 0; i = t.cNextOccupied(cd, child.off, i+1) {
-				es = append(es, idx.Entry{Key: t.cKey(cd, child.off, i), TID: t.cTid(cd, child.off, i)})
-			}
-			t.spreadLeafLoad(cd, child.off, es[:mid])
-			t.spreadLeafLoad(rd, right.off, es[mid:])
-		} else {
-			copy(rd[t.cKeyPos(right.off, 0):t.cKeyPos(right.off, moved)], cd[t.cKeyPos(child.off, mid):t.cKeyPos(child.off, cnt)])
-			copy(rd[t.cTidPos(right.off, 0):t.cTidPos(right.off, moved)], cd[t.cTidPos(child.off, mid):t.cTidPos(child.off, cnt)])
-		}
-		t.mm.CopyBetween(rpg.Addr+uint64(t.cKeyPos(right.off, 0)), cpg.Addr+uint64(t.cKeyPos(child.off, mid)), moved*4)
-		t.mm.CopyBetween(rpg.Addr+uint64(t.cTidPos(right.off, 0)), cpg.Addr+uint64(t.cTidPos(child.off, mid)), moved*4)
+		sep = t.split(cpg, child.off, rpg, right.off)
 		// Leaf sibling chain.
-		t.cSetNextLeaf(rd, right.off, t.cNextLeaf(cd, child.off))
-		t.cSetNextLeaf(cd, child.off, right)
+		t.cSetNextLeaf(rpg.Data, right.off, t.cNextLeaf(cpg.Data, child.off))
+		t.cSetNextLeaf(cpg.Data, child.off, right)
 	} else {
-		copy(rd[t.cKeyPos(right.off, 0):t.cKeyPos(right.off, moved)], cd[t.cKeyPos(child.off, mid):t.cKeyPos(child.off, cnt)])
+		cd, rd := cpg.Data, rpg.Data
+		cnt := t.count(cd, child.off)
+		mid := cnt / 2
+		moved := cnt - mid
+		copy(rd[t.keyPos(right.off, 0):t.keyPos(right.off, moved)], cd[t.keyPos(child.off, mid):t.keyPos(child.off, cnt)])
 		copy(rd[t.cPidPos(right.off, 0):t.cPidPos(right.off, moved)], cd[t.cPidPos(child.off, mid):t.cPidPos(child.off, cnt)])
 		copy(rd[t.cOffPos(right.off, 0):t.cOffPos(right.off, moved)], cd[t.cOffPos(child.off, mid):t.cOffPos(child.off, cnt)])
-		t.mm.CopyBetween(rpg.Addr+uint64(t.cKeyPos(right.off, 0)), cpg.Addr+uint64(t.cKeyPos(child.off, mid)), moved*4)
+		t.mm.CopyBetween(rpg.Addr+uint64(t.keyPos(right.off, 0)), cpg.Addr+uint64(t.keyPos(child.off, mid)), moved*4)
 		t.mm.CopyBetween(rpg.Addr+uint64(t.cPidPos(right.off, 0)), cpg.Addr+uint64(t.cPidPos(child.off, mid)), moved*6)
 		if childLvl == 1 {
 			// Leaf-parent sibling chain (drives leaf-page splits).
@@ -421,10 +408,10 @@ func (t *CacheFirst) splitChild(pg buffer.Page, parent ptr, slot int, cpg buffer
 				return 0, nilPtr, false, err
 			}
 		}
+		t.setCount(cd, child.off, mid)
+		t.setCount(rd, right.off, moved)
+		sep = t.key(rd, right.off, 0)
 	}
-	t.cSetCount(cd, child.off, mid)
-	t.cSetCount(rd, right.off, moved)
-	sep := t.cKey(rd, right.off, 0)
 
 	// Install the separator into the (non-full) parent.
 	t.installChild(pg, parent, slot+1, sep, right)
@@ -434,124 +421,17 @@ func (t *CacheFirst) splitChild(pg buffer.Page, parent ptr, slot int, cpg buffer
 // installChild inserts (k, child) at position pos of the nonleaf parent.
 func (t *CacheFirst) installChild(pg buffer.Page, parent ptr, pos int, k idx.Key, child ptr) {
 	d := pg.Data
-	cnt := t.cCount(d, parent.off)
+	cnt := t.count(d, parent.off)
 	if moved := cnt - pos; moved > 0 {
-		copy(d[t.cKeyPos(parent.off, pos+1):t.cKeyPos(parent.off, cnt+1)], d[t.cKeyPos(parent.off, pos):t.cKeyPos(parent.off, cnt)])
+		copy(d[t.keyPos(parent.off, pos+1):t.keyPos(parent.off, cnt+1)], d[t.keyPos(parent.off, pos):t.keyPos(parent.off, cnt)])
 		copy(d[t.cPidPos(parent.off, pos+1):t.cPidPos(parent.off, cnt+1)], d[t.cPidPos(parent.off, pos):t.cPidPos(parent.off, cnt)])
 		copy(d[t.cOffPos(parent.off, pos+1):t.cOffPos(parent.off, cnt+1)], d[t.cOffPos(parent.off, pos):t.cOffPos(parent.off, cnt)])
-		t.mm.Copy(pg.Addr+uint64(t.cKeyPos(parent.off, pos)), moved*4)
+		t.mm.Copy(pg.Addr+uint64(t.keyPos(parent.off, pos)), moved*4)
 		t.mm.Copy(pg.Addr+uint64(t.cPidPos(parent.off, pos)), moved*6)
 	}
-	t.cSetKey(d, parent.off, pos, k)
+	t.setKey(d, parent.off, pos, k)
 	t.cSetChild(d, parent.off, pos, child)
-	t.cSetCount(d, parent.off, cnt+1)
-}
-
-// leafInsert writes (k, tid) into the (non-full) leaf node.
-func (t *CacheFirst) leafInsert(pg buffer.Page, off int, k idx.Key, tid idx.TupleID) {
-	d := pg.Data
-	slot, _ := t.searchNode(pg, off, k, false)
-	if t.gappedLeafPage(d) {
-		t.gappedLeafInsertAt(pg, off, slot, k, tid)
-		return
-	}
-	pos := slot + 1
-	cnt := t.cCount(d, off)
-	moved := cnt - pos
-	if moved > 0 {
-		copy(d[t.cKeyPos(off, pos+1):t.cKeyPos(off, cnt+1)], d[t.cKeyPos(off, pos):t.cKeyPos(off, cnt)])
-		copy(d[t.cTidPos(off, pos+1):t.cTidPos(off, cnt+1)], d[t.cTidPos(off, pos):t.cTidPos(off, cnt)])
-		t.mm.Copy(pg.Addr+uint64(t.cKeyPos(off, pos)), moved*4)
-		t.mm.Copy(pg.Addr+uint64(t.cTidPos(off, pos)), moved*4)
-	} else {
-		moved = 0
-	}
-	t.cSetKey(d, off, pos, k)
-	t.cSetTid(d, off, pos, tid)
-	t.cSetCount(d, off, cnt+1)
-	t.mm.Access(pg.Addr+uint64(t.cKeyPos(off, pos)), 4)
-	t.mm.Access(pg.Addr+uint64(t.cTidPos(off, pos)), 4)
-	t.recordShift(moved)
-}
-
-// gappedLeafInsertAt writes (k, tid) into gapped leaf node off, whose
-// predecessor for k sits at physical slot `slot` (-1 when no live key
-// qualifies). An adjacent gap absorbs the insert with zero key moves;
-// otherwise entries shift one position toward the nearest gap.
-func (t *CacheFirst) gappedLeafInsertAt(pg buffer.Page, off, slot int, k idx.Key, tid idx.TupleID) {
-	d := pg.Data
-	occ := t.cCount(d, off)
-	pos := slot + 1
-	if pos < t.capL && t.cKey(d, off, pos) == gapSentinel {
-		t.gapFills.Add(1)
-		t.recordShift(0)
-	} else {
-		gl, gr := -1, -1
-		for i := slot; i >= 0; i-- {
-			if t.cKey(d, off, i) == gapSentinel {
-				gl = i
-				break
-			}
-		}
-		for i := pos + 1; i < t.capL; i++ {
-			if t.cKey(d, off, i) == gapSentinel {
-				gr = i
-				break
-			}
-		}
-		var moved int
-		if gl >= 0 && (gr < 0 || slot-gl < gr-pos) {
-			moved = slot - gl
-		} else {
-			moved = gr - pos
-		}
-		if moved > t.capL/8 {
-			// The nearest gap is far: a one-slot shift chain would cost
-			// nearly as much as a dense insert and leave the cluster
-			// just as dense for the next one. Rebalance instead —
-			// respread every live entry (plus the new one) evenly so
-			// gaps return to the hot spot. Costs O(occ) once, then the
-			// following inserts in this region are O(1) again.
-			es := make([]idx.Entry, 0, occ+1)
-			placed := false
-			for i := t.cNextOccupied(d, off, 0); i >= 0; i = t.cNextOccupied(d, off, i+1) {
-				ek := t.cKey(d, off, i)
-				if !placed && ek > k {
-					es = append(es, idx.Entry{Key: k, TID: tid})
-					placed = true
-				}
-				es = append(es, idx.Entry{Key: ek, TID: t.cTid(d, off, i)})
-			}
-			if !placed {
-				es = append(es, idx.Entry{Key: k, TID: tid})
-			}
-			t.spreadLeafLoad(d, off, es)
-			t.mm.Copy(pg.Addr+uint64(t.cKeyPos(off, 0)), occ*4)
-			t.mm.Copy(pg.Addr+uint64(t.cTidPos(off, 0)), occ*4)
-			t.recordShift(occ)
-			return
-		}
-		if gl >= 0 && (gr < 0 || slot-gl < gr-pos) {
-			// Shift (gl+1 .. slot) left one slot; k lands on slot.
-			copy(d[t.cKeyPos(off, gl):t.cKeyPos(off, slot)], d[t.cKeyPos(off, gl+1):t.cKeyPos(off, slot+1)])
-			copy(d[t.cTidPos(off, gl):t.cTidPos(off, slot)], d[t.cTidPos(off, gl+1):t.cTidPos(off, slot+1)])
-			t.mm.Copy(pg.Addr+uint64(t.cKeyPos(off, gl)), moved*4)
-			t.mm.Copy(pg.Addr+uint64(t.cTidPos(off, gl)), moved*4)
-			pos = slot
-		} else {
-			// Shift (pos .. gr-1) right one slot; k lands on pos.
-			copy(d[t.cKeyPos(off, pos+1):t.cKeyPos(off, gr+1)], d[t.cKeyPos(off, pos):t.cKeyPos(off, gr)])
-			copy(d[t.cTidPos(off, pos+1):t.cTidPos(off, gr+1)], d[t.cTidPos(off, pos):t.cTidPos(off, gr)])
-			t.mm.Copy(pg.Addr+uint64(t.cKeyPos(off, pos)), moved*4)
-			t.mm.Copy(pg.Addr+uint64(t.cTidPos(off, pos)), moved*4)
-		}
-		t.recordShift(moved)
-	}
-	t.cSetKey(d, off, pos, k)
-	t.cSetTid(d, off, pos, tid)
-	t.cSetCount(d, off, occ+1)
-	t.mm.Access(pg.Addr+uint64(t.cKeyPos(off, pos)), 4)
-	t.mm.Access(pg.Addr+uint64(t.cTidPos(off, pos)), 4)
+	t.setCount(d, parent.off, cnt+1)
 }
 
 // fixBackPointersAfterParentSplit repairs leaf-page back pointers after
@@ -597,25 +477,7 @@ func (t *CacheFirst) Delete(k idx.Key) (bool, error) {
 	if err != nil || !found {
 		return false, err
 	}
-	t.deleteAt(pg, cur, slot)
-	return true, nil
-}
-
-// deleteAt removes the entry at slot of the leaf node (pg, cur) and
-// unpins the page.
-func (t *CacheFirst) deleteAt(pg buffer.Page, cur ptr, slot int) {
-	d := pg.Data
-	cnt := t.cCount(d, cur.off)
-	if t.gappedLeafPage(d) {
-		// Punch a gap in place of the removed entry: O(1), no shifting.
-		t.cSetKey(d, cur.off, slot, gapSentinel)
-		t.mm.Access(pg.Addr+uint64(t.cKeyPos(cur.off, slot)), 4)
-	} else if moved := cnt - slot - 1; moved > 0 {
-		copy(d[t.cKeyPos(cur.off, slot):t.cKeyPos(cur.off, cnt-1)], d[t.cKeyPos(cur.off, slot+1):t.cKeyPos(cur.off, cnt)])
-		copy(d[t.cTidPos(cur.off, slot):t.cTidPos(cur.off, cnt-1)], d[t.cTidPos(cur.off, slot+1):t.cTidPos(cur.off, cnt)])
-		t.mm.Copy(pg.Addr+uint64(t.cKeyPos(cur.off, slot)), moved*4)
-		t.mm.Copy(pg.Addr+uint64(t.cTidPos(cur.off, slot)), moved*4)
-	}
-	t.cSetCount(d, cur.off, cnt-1)
+	t.remove(pg, cur.off, slot)
 	t.pool.Unpin(pg, true)
+	return true, nil
 }

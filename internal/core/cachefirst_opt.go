@@ -66,11 +66,11 @@ func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, s
 			return 0, false, buffer.OptRetry
 		}
 		prefetchNode(t.mm, buffer.Page{Data: pg.Data}, cur.off, t.s)
-		slot, _ := t.searchNode(buffer.Page{Data: pg.Data}, cur.off, k, true)
-		slot = t.cNextOccupied(pg.Data, cur.off, slot+1)
+		slot, _ := t.search(buffer.Page{Data: pg.Data}, cur.off, k, true)
+		slot = t.nextOccupied(pg.Data, cur.off, slot+1)
 		if slot >= 0 {
-			key := t.cKey(pg.Data, cur.off, slot)
-			tid := t.cTid(pg.Data, cur.off, slot)
+			key := t.key(pg.Data, cur.off, slot)
+			tid := t.ptrAt(pg.Data, cur.off, slot)
 			if !t.pool.ValidateOpt(pg) {
 				return 0, false, buffer.OptRetry
 			}
@@ -107,7 +107,7 @@ func (t *CacheFirst) leafNodeForOpt(k idx.Key, lt bool, e uint64) (leaf ptr, via
 	cur := root
 	for lvl := height - 1; ; lvl-- {
 		prefetchNode(t.mm, buffer.Page{Data: pg.Data}, cur.off, t.s)
-		slot, _ := t.searchNode(buffer.Page{Data: pg.Data}, cur.off, k, lt)
+		slot, _ := t.search(buffer.Page{Data: pg.Data}, cur.off, k, lt)
 		if slot < 0 {
 			slot, below = 0, true
 		}

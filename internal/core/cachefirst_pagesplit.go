@@ -112,7 +112,7 @@ func (t *CacheFirst) splitLeafPage(pid uint32, held ...buffer.Page) error {
 	mid := len(nodes) / 2
 	moved := nodes[mid:]
 
-	np, err := t.newPage(cfPageLeaf)
+	np, err := t.newPage(pageLeaf)
 	if err != nil {
 		return err
 	}
@@ -166,7 +166,7 @@ func (t *CacheFirst) splitLeafPage(pid uint32, held ...buffer.Page) error {
 		if err != nil {
 			return err
 		}
-		cnt := t.cCount(ppg.Data, cur.off)
+		cnt := t.count(ppg.Data, cur.off)
 		dirty := false
 		for i := 0; i < cnt; i++ {
 			cp := t.cChild(ppg.Data, cur.off, i)
@@ -206,10 +206,10 @@ func (t *CacheFirst) splitLeafPage(pid uint32, held ...buffer.Page) error {
 // nodeIsLeafParent reports whether a nonleaf node's children are leaf
 // nodes (they live in leaf pages).
 func (t *CacheFirst) nodeIsLeafParent(d []byte, off int) bool {
-	if t.cCount(d, off) == 0 {
+	if t.count(d, off) == 0 {
 		return false
 	}
-	return t.pages[t.cChild(d, off, 0).pid] == cfPageLeaf
+	return t.pages[t.cChild(d, off, 0).pid] == pageLeaf
 }
 
 // splitNodePage makes room in a full node page by relocating the
@@ -234,7 +234,7 @@ func (t *CacheFirst) splitNodePage(pid uint32, held ...buffer.Page) (bool, error
 	}
 	d := pg.Data
 	top := cfTop(d)
-	cnt := t.cCount(d, top)
+	cnt := t.count(d, top)
 
 	// Entries of the top node whose children are in this page, from the
 	// second half onwards, are relocation candidates.
@@ -272,7 +272,7 @@ func (t *CacheFirst) splitNodePage(pid uint32, held ...buffer.Page) (bool, error
 		if t.nodeIsLeafParent(d, off) {
 			return
 		}
-		c := t.cCount(d, off)
+		c := t.count(d, off)
 		for i := 0; i < c; i++ {
 			cp := t.cChild(d, off, i)
 			if cp.pid == pid {
@@ -320,7 +320,7 @@ func (t *CacheFirst) splitNodePage(pid uint32, held ...buffer.Page) (bool, error
 	for _, off := range movedOffs {
 		noff := mapping[off]
 		wasLP := t.nodeIsLeafParent(np.Data, noff)
-		c := t.cCount(np.Data, noff)
+		c := t.count(np.Data, noff)
 		if !wasLP {
 			for i := 0; i < c; i++ {
 				cp := t.cChild(np.Data, noff, i)

@@ -42,7 +42,7 @@ func (t *CacheFirst) RestoreMeta(dm idx.DurableMeta) error {
 		}
 		kind := pg.Data[cfOffKind]
 		t.pool.Unpin(pg, false)
-		if kind >= cfPageLeaf && kind <= cfPageOverflow {
+		if kind >= pageLeaf && kind <= cfPageOverflow {
 			pages[pid] = kind
 		}
 	}

@@ -33,7 +33,7 @@ func (t *CacheFirst) RangeScanReverse(startKey, endKey idx.Key, fn func(idx.Key,
 		return 0, err
 	}
 
-	s := nodeScan{mm: t.mm, lo: startKey, hi: endKey, reverse: true, fn: fn}
+	s := nodeScan{n: &t.pbNode, lo: startKey, hi: endKey, reverse: true, fn: fn}
 	first := true
 	pfNext := 0
 	for pageIdx, pid := range pids {
@@ -83,10 +83,9 @@ func (t *CacheFirst) reverseScanPage(pg buffer.Page, s *nodeScan, first bool, en
 			}
 		}
 		t.visitNode(pg, endAt.off)
-		from, _ = t.searchNode(pg, endAt.off, s.hi, false)
+		from, _ = t.search(pg, endAt.off, s.hi, false)
 	}
 	d := pg.Data
-	gapped := t.gappedLeafPage(d)
 	for ; oi >= 0; oi, first = oi-1, false {
 		off := offs[oi]
 		if !t.jpaOn || t.conc {
@@ -95,11 +94,11 @@ func (t *CacheFirst) reverseScanPage(pg buffer.Page, s *nodeScan, first bool, en
 			t.mm.Access(pg.Addr+uint64(nodeBase(off)), cfNodeHdr)
 			t.mm.Busy(memsim.CostNodeVisit)
 		}
-		slots := t.cSlots(d, off)
+		slots := t.slots(d, off)
 		if !first {
 			from = slots - 1
 		}
-		if s.node(pg, t.cKeyPos(off, 0), t.capL, from, slots, gapped) {
+		if s.node(pg, off, from, slots) {
 			return true, nil
 		}
 	}

@@ -39,7 +39,7 @@ func (t *CacheFirst) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.Tu
 		}
 	}
 
-	s := nodeScan{mm: t.mm, lo: startKey, hi: endKey, fn: fn}
+	s := nodeScan{n: &t.pbNode, lo: startKey, hi: endKey, fn: fn}
 	pfNext, pageIdx := 0, -1
 	var pg buffer.Page
 	var lastPID uint32
@@ -77,11 +77,11 @@ func (t *CacheFirst) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.Tu
 		d := pg.Data
 		from := 0
 		if first {
-			slot, _ := t.searchNode(pg, cur.off, startKey, true)
+			slot, _ := t.search(pg, cur.off, startKey, true)
 			from = slot + 1
 			first = false
 		}
-		if s.node(pg, t.cKeyPos(cur.off, 0), t.capL, from, t.cSlots(d, cur.off), t.gappedLeafPage(d)) {
+		if s.node(pg, cur.off, from, t.slots(d, cur.off)) {
 			t.pool.Unpin(pg, false)
 			return s.count, nil
 		}
@@ -118,7 +118,7 @@ func (t *CacheFirst) leafNodeFor(k idx.Key, lt bool) (ptr, error) {
 		}
 		pg = npg
 		t.visitNode(pg, cur.off)
-		slot, _ := t.searchNode(pg, cur.off, k, lt)
+		slot, _ := t.search(pg, cur.off, k, lt)
 		if slot < 0 {
 			slot = 0
 		}

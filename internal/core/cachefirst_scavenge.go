@@ -45,7 +45,7 @@ func (t *CacheFirst) Scavenge() (idx.ScavengeStats, error) {
 			copy(page, p.Data)
 			t.pool.Unpin(p, false)
 			lastPID = cur.pid
-			if kind != cfPageLeaf {
+			if kind != pageLeaf {
 				st.Truncated = true
 				break
 			}
@@ -54,14 +54,14 @@ func (t *CacheFirst) Scavenge() (idx.ScavengeStats, error) {
 			st.Truncated = true
 			break
 		}
-		cnt := t.cCount(page, cur.off)
+		cnt := t.count(page, cur.off)
 		bad := cnt > t.capL
 		if !bad && t.gapped {
 			// Gapped leaf: walk physical slots, skip gaps, and require
 			// the live-slot count to match the recorded occupancy.
 			occ := 0
 			for i := 0; i < t.capL; i++ {
-				k := t.cKey(page, cur.off, i)
+				k := t.key(page, cur.off, i)
 				if k == gapSentinel {
 					continue
 				}
@@ -71,20 +71,20 @@ func (t *CacheFirst) Scavenge() (idx.ScavengeStats, error) {
 				}
 				lastKey, have = k, true
 				occ++
-				entries = append(entries, idx.Entry{Key: k, TID: t.cTid(page, cur.off, i)})
+				entries = append(entries, idx.Entry{Key: k, TID: t.ptrAt(page, cur.off, i)})
 			}
 			if occ != cnt {
 				bad = true
 			}
 		} else if !bad {
 			for i := 0; i < cnt; i++ {
-				k := t.cKey(page, cur.off, i)
+				k := t.key(page, cur.off, i)
 				if have && k < lastKey {
 					bad = true
 					break
 				}
 				lastKey, have = k, true
-				entries = append(entries, idx.Entry{Key: k, TID: t.cTid(page, cur.off, i)})
+				entries = append(entries, idx.Entry{Key: k, TID: t.ptrAt(page, cur.off, i)})
 			}
 		}
 		if bad {

@@ -20,7 +20,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/buffer"
 	"repro/internal/idx"
@@ -64,7 +63,6 @@ const (
 	dfOffJPNext    = 24
 	dfOffFirstLeaf = 28
 
-	dfPageLeaf    = 1
 	dfPageNonleaf = 2
 
 	// In-page node headers (see internal/sizing).
@@ -111,28 +109,24 @@ type DiskFirstConfig struct {
 // as its Layout.
 type DiskFirst struct {
 	pagetree.Tree
+	pbNode // the in-page leaf nodes
+	// nonleaf is the in-page nonleaf nodes' layout: a shorter header and
+	// capN keys, searched by the same kernel. Their children are 2-byte
+	// node offsets (nChildPos), not pbNode pointers.
+	nonleaf pbNode
 
 	pool *buffer.Pool
-	mm   *memsim.Model
 
 	pageSize  int
 	pageLines int
 
-	w, x       int // in-page node widths, in lines
-	capN, capL int // in-page node entry capacities
-	fanout     int // max entries per page (Table 2 "page fan-out")
-	leafNodes  int // in-page leaf nodes per page in the canonical layout
-
-	gapped bool // leaf-page leaf nodes keep interleaved gap slots
+	w, x      int // in-page node widths, in lines
+	capN      int // in-page nonleaf node entry capacity
+	fanout    int // max entries per page (Table 2 "page fan-out")
+	leafNodes int // in-page leaf nodes per page in the canonical layout
 
 	tr  *obs.Tracer
 	ops idx.AtomicOpStats
-
-	// Node-layout metrics: keys displaced per leaf insert (recorded in
-	// both layouts, so the gapped win is measurable against dense) and
-	// inserts that landed in an adjacent gap with zero displacement.
-	shiftHist *obs.Histogram
-	gapFills  atomic.Uint64
 }
 
 // NewDiskFirst creates an empty tree.
@@ -161,29 +155,26 @@ func NewDiskFirst(cfg DiskFirstConfig) (*DiskFirst, error) {
 		return nil, fmt.Errorf("core: widths %d/%d lines do not fit a %d-byte page", w, x, ps)
 	}
 	t := &DiskFirst{
+		pbNode: pbNode{
+			mm:     cfg.Model,
+			hdr:    dfLeafHdr,
+			capL:   sizing.DiskFirstLeafCap(x),
+			gapped: cfg.GappedLeaves,
+		},
+		nonleaf:   pbNode{mm: cfg.Model, hdr: dfNonHdr, capL: sizing.DiskFirstNonleafCap(w)},
 		pool:      cfg.Pool,
-		mm:        cfg.Model,
 		pageSize:  ps,
 		pageLines: ps / lineSize,
 		w:         w,
 		x:         x,
 		capN:      sizing.DiskFirstNonleafCap(w),
-		capL:      sizing.DiskFirstLeafCap(x),
 		fanout:    leaves * sizing.DiskFirstLeafCap(x),
 		leafNodes: leaves,
-		gapped:    cfg.GappedLeaves,
 		tr:        cfg.Trace,
 	}
 	t.Init(cfg.Pool, t, cfg.Model, cfg.EnableJPA, cfg.PrefetchWindow, cfg.NoOvershootProtection)
 	return t, nil
 }
-
-// GapFills reports inserts that filled an adjacent gap slot without
-// displacing any key (see idx.RegisterMetrics).
-func (t *DiskFirst) GapFills() uint64 { return t.gapFills.Load() }
-
-// AttachShiftHistogram wires the node.insert_shift_keys histogram.
-func (t *DiskFirst) AttachShiftHistogram(h *obs.Histogram) { t.shiftHist = h }
 
 // Name implements idx.Index.
 func (t *DiskFirst) Name() string { return "disk-first fpB+tree" }
@@ -196,9 +187,6 @@ func (t *DiskFirst) ResetStats() { t.ops.Reset() }
 
 // Fanout reports the maximum entries per page.
 func (t *DiskFirst) Fanout() int { return t.fanout }
-
-// Widths reports the in-page node widths in bytes (nonleaf, leaf).
-func (t *DiskFirst) Widths() (int, int) { return t.w * lineSize, t.x * lineSize }
 
 // --- page header accessors (raw) ---
 
@@ -228,35 +216,20 @@ func dfSetJPNext(d []byte, v uint32)   { le.PutUint32(d[dfOffJPNext:], v) }
 func dfSetFirstLeaf(d []byte, v int)   { le.PutUint16(d[dfOffFirstLeaf:], uint16(v)) }
 
 // --- in-page node accessors ---
-// A node is identified by its starting line number within the page.
+// Nonleaf node: [count u16][next u16][keys 4*capN][offsets 2*capN],
+// whose count and keys are t.nonleaf's; leaf node: [count u16]
+// [next u16][flags u16][pad u16][keys 4*capL][ptrs 4*capL], whose
+// count, keys and pointers are pbNode's.
 
-func nodeBase(off int) int { return off * lineSize }
-
-// nonleaf node: [count u16][next u16][keys 4*capN][offsets 2*capN]
-func (t *DiskFirst) nCount(d []byte, off int) int            { return int(le.Uint16(d[nodeBase(off):])) }
-func (t *DiskFirst) nNext(d []byte, off int) int             { return int(le.Uint16(d[nodeBase(off)+2:])) }
-func (t *DiskFirst) nSetCount(d []byte, off, v int)          { le.PutUint16(d[nodeBase(off):], uint16(v)) }
-func (t *DiskFirst) nSetNext(d []byte, off, v int)           { le.PutUint16(d[nodeBase(off)+2:], uint16(v)) }
-func (t *DiskFirst) nKeyPos(off, i int) int                  { return nodeBase(off) + dfNonHdr + 4*i }
-func (t *DiskFirst) nChildPos(off, i int) int                { return nodeBase(off) + dfNonHdr + 4*t.capN + 2*i }
-func (t *DiskFirst) nKey(d []byte, off, i int) idx.Key       { return le.Uint32(d[t.nKeyPos(off, i):]) }
-func (t *DiskFirst) nChild(d []byte, off, i int) int         { return int(le.Uint16(d[t.nChildPos(off, i):])) }
-func (t *DiskFirst) nSetKey(d []byte, off, i int, k idx.Key) { le.PutUint32(d[t.nKeyPos(off, i):], k) }
+func (t *DiskFirst) nNext(d []byte, off int) int     { return int(le.Uint16(d[nodeBase(off)+2:])) }
+func (t *DiskFirst) nSetNext(d []byte, off, v int)   { le.PutUint16(d[nodeBase(off)+2:], uint16(v)) }
+func (t *DiskFirst) nChildPos(off, i int) int        { return nodeBase(off) + dfNonHdr + 4*t.capN + 2*i }
+func (t *DiskFirst) nChild(d []byte, off, i int) int { return int(le.Uint16(d[t.nChildPos(off, i):])) }
 func (t *DiskFirst) nSetChild(d []byte, off, i, v int) {
 	le.PutUint16(d[t.nChildPos(off, i):], uint16(v))
 }
-
-// leaf node: [count u16][next u16][flags u16][pad u16][keys 4*capL][ptrs 4*capL]
-func (t *DiskFirst) lCount(d []byte, off int) int            { return int(le.Uint16(d[nodeBase(off):])) }
-func (t *DiskFirst) lNext(d []byte, off int) int             { return int(le.Uint16(d[nodeBase(off)+2:])) }
-func (t *DiskFirst) lSetCount(d []byte, off, v int)          { le.PutUint16(d[nodeBase(off):], uint16(v)) }
-func (t *DiskFirst) lSetNext(d []byte, off, v int)           { le.PutUint16(d[nodeBase(off)+2:], uint16(v)) }
-func (t *DiskFirst) lKeyPos(off, i int) int                  { return nodeBase(off) + dfLeafHdr + 4*i }
-func (t *DiskFirst) lPtrPos(off, i int) int                  { return nodeBase(off) + dfLeafHdr + 4*t.capL + 4*i }
-func (t *DiskFirst) lKey(d []byte, off, i int) idx.Key       { return le.Uint32(d[t.lKeyPos(off, i):]) }
-func (t *DiskFirst) lPtr(d []byte, off, i int) uint32        { return le.Uint32(d[t.lPtrPos(off, i):]) }
-func (t *DiskFirst) lSetKey(d []byte, off, i int, k idx.Key) { le.PutUint32(d[t.lKeyPos(off, i):], k) }
-func (t *DiskFirst) lSetPtr(d []byte, off, i int, v uint32)  { le.PutUint32(d[t.lPtrPos(off, i):], v) }
+func (t *DiskFirst) lNext(d []byte, off int) int   { return int(le.Uint16(d[nodeBase(off)+2:])) }
+func (t *DiskFirst) lSetNext(d []byte, off, v int) { le.PutUint16(d[nodeBase(off)+2:], uint16(v)) }
 
 // --- in-page space management ---
 
@@ -357,150 +330,4 @@ func (t *DiskFirst) visitLeaf(pg buffer.Page, off int) {
 func (t *DiskFirst) TouchHeader(pg buffer.Page) {
 	t.mm.Access(pg.Addr, 32)
 	t.mm.Busy(memsim.CostNodeVisit)
-}
-
-func (t *DiskFirst) probe(pg buffer.Page, pos int) idx.Key {
-	t.mm.Access(pg.Addr+uint64(pos), 4)
-	t.mm.Busy(memsim.CostCompare)
-	t.mm.Other(memsim.CostComparePenalty)
-	return le.Uint32(pg.Data[pos:])
-}
-
-// replaySearchCharges re-issues the exact memory charges of the
-// branchless binary search after the SWAR scan has already computed its
-// final bound. Each step of that search goes right iff mid < finalLo
-// (lo only advances past probed keys <(=) k, hi only drops onto probed
-// keys that are not), so the probe sequence — and with it every
-// mm.Access/Busy/Other — is a pure function of (count, finalLo). In
-// wall-clock serving mode the model is frozen and the replay is
-// skipped outright.
-func (t *DiskFirst) replaySearchCharges(pg buffer.Page, off, cnt, finalLo int, leaf bool) {
-	if t.mm.Concurrent() {
-		return
-	}
-	lo, hi := 0, cnt
-	for lo < hi {
-		mid := (lo + hi) / 2
-		pos := t.nKeyPos(off, mid)
-		if leaf {
-			pos = t.lKeyPos(off, mid)
-		}
-		t.mm.Access(pg.Addr+uint64(pos), 4)
-		t.mm.Busy(memsim.CostCompare)
-		t.mm.Other(memsim.CostComparePenalty)
-		right := b2i(mid < finalLo)
-		lo += right * (mid + 1 - lo)
-		hi = mid + right*(hi-mid)
-	}
-}
-
-// chargeGappedScan is the charge model of a gapped-leaf SWAR search:
-// one access over the scanned key region, compare cost per word
-// scanned, and a single mispredict-penalty term. Gapped mode is opt-in
-// with no byte-identity requirement, so the model is defined here
-// rather than replayed from the binary search (see DESIGN.md §13).
-func (t *DiskFirst) chargeGappedScan(pg buffer.Page, base, slots int) {
-	if t.mm.Concurrent() {
-		return
-	}
-	t.mm.Access(pg.Addr+uint64(base), 4*slots)
-	t.mm.Busy(memsim.CostCompare * uint64((slots+1)/2))
-	t.mm.Other(memsim.CostComparePenalty)
-}
-
-// --- gapped-leaf layout helpers ---
-//
-// Gapped layout applies only to the in-page leaf nodes of LEAF pages:
-// nonleaf pages' in-page leaf nodes hold child page IDs and every
-// descent/JPA path assumes them dense. A gap slot carries gapSentinel
-// in its key and 0 in its pointer; the count field keeps the live
-// occupancy, and live keys are sorted among themselves, so the
-// physical iteration bound of a gapped node is capL, not its count.
-
-// gappedLeafPage reports whether page d's in-page leaf nodes use the
-// gapped layout.
-func (t *DiskFirst) gappedLeafPage(d []byte) bool {
-	return t.gapped && dfType(d) == dfPageLeaf
-}
-
-// lSlots is the physical iteration bound of leaf node off.
-func (t *DiskFirst) lSlots(d []byte, off int) int {
-	if t.gappedLeafPage(d) {
-		return t.capL
-	}
-	return t.lCount(d, off)
-}
-
-// lNextOccupied returns the first live physical slot >= i, or -1. In
-// the dense layout this is i itself when in range — structurally
-// identical to the `slot < count` guards it replaces, so dense-mode
-// call sites keep their exact charge sequences.
-func (t *DiskFirst) lNextOccupied(d []byte, off, i int) int {
-	if !t.gappedLeafPage(d) {
-		if i < t.lCount(d, off) {
-			return i
-		}
-		return -1
-	}
-	for ; i < t.capL; i++ {
-		if t.lKey(d, off, i) != gapSentinel {
-			return i
-		}
-	}
-	return -1
-}
-
-// lFirstOccupied returns the first live slot of leaf node off, or -1
-// when the node is empty.
-func (t *DiskFirst) lFirstOccupied(d []byte, off int) int {
-	if !t.gappedLeafPage(d) {
-		if t.lCount(d, off) > 0 {
-			return 0
-		}
-		return -1
-	}
-	return t.lNextOccupied(d, off, 0)
-}
-
-// sentinelFillLeaf marks every key slot of a freshly allocated gapped
-// leaf node as a gap (allocNode zero-fills, and key 0 is a valid key).
-func (t *DiskFirst) sentinelFillLeaf(d []byte, off int) {
-	for i := 0; i < t.capL; i++ {
-		t.lSetKey(d, off, i, gapSentinel)
-	}
-}
-
-// spreadLeafNode lays cnt entries into a gapped leaf node, entry j at
-// physical slot floor(j*capL/cnt), gaps everywhere else. Entry 0
-// always lands at slot 0, so a node's minimum key stays at a fixed
-// position. Uncharged, like buildInPage.
-func (t *DiskFirst) spreadLeafNode(d []byte, off int, entries []pair) {
-	t.sentinelFillLeaf(d, off)
-	cnt := len(entries)
-	for j := 0; j < cnt; j++ {
-		at := j * t.capL / cnt
-		t.lSetKey(d, off, at, entries[j].key)
-		t.lSetPtr(d, off, at, entries[j].ptr)
-	}
-	t.lSetCount(d, off, cnt)
-}
-
-// leafSplitAt is the occupancy at which an inserting leaf node splits.
-// Dense nodes split only when physically full; gapped nodes split at
-// two-thirds capacity, packed-memory-array style: past that density
-// the nearest gap is many slots away and every insert degenerates to a
-// dense-style long shift (or a rebalance), so gapped mode trades a
-// third of the slots to keep inserts O(gap distance).
-func (t *DiskFirst) leafSplitAt(gapped bool) int {
-	if gapped {
-		return t.capL - t.capL/3
-	}
-	return t.capL
-}
-
-// recordShift notes how many keys a leaf insert displaced.
-func (t *DiskFirst) recordShift(moved int) {
-	if t.shiftHist != nil {
-		t.shiftHist.Record(uint64(moved))
-	}
 }

@@ -35,13 +35,13 @@ func (t *DiskFirst) ResolveLeaf(pg buffer.Page, k idx.Key) (idx.TupleID, bool, e
 			}
 			for off != 0 {
 				t.visitLeaf(cur, off)
-				slot, _ := t.searchLeafNode(cur, off, k, true)
-				slot = t.lNextOccupied(cur.Data, off, slot+1)
+				slot, _ := t.search(cur, off, k, true)
+				slot = t.nextOccupied(cur.Data, off, slot+1)
 				if slot >= 0 {
-					t.mm.Access(cur.Addr+uint64(t.lKeyPos(off, slot)), 4)
-					if t.lKey(cur.Data, off, slot) == k {
-						t.mm.Access(cur.Addr+uint64(t.lPtrPos(off, slot)), 4)
-						tid := t.lPtr(cur.Data, off, slot)
+					t.mm.Access(cur.Addr+uint64(t.keyPos(off, slot)), 4)
+					if t.key(cur.Data, off, slot) == k {
+						t.mm.Access(cur.Addr+uint64(t.ptrPos(off, slot)), 4)
+						tid := t.ptrAt(cur.Data, off, slot)
 						unpin()
 						return tid, true, nil
 					}

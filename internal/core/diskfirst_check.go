@@ -43,11 +43,11 @@ func (t *DiskFirst) CheckInvariants() error {
 			return fmt.Errorf("diskfirst: page %d jump-pointer link %d != sibling %d", pid, dfJPNext(pg.Data), dfNextPage(pg.Data))
 		}
 		for _, e := range t.collectEntries(pg.Data) {
-			if have && e.key < last {
+			if have && e.Key < last {
 				t.pool.Unpin(pg, false)
 				return fmt.Errorf("diskfirst: keys regress across leaf chain at page %d", pid)
 			}
-			last, have = e.key, true
+			last, have = e.Key, true
 		}
 		prevID = pid
 		next := dfNextPage(pg.Data)
@@ -67,7 +67,7 @@ func (t *DiskFirst) checkPageSubtree(pid uint32, lvl int, lo, hi *idx.Key, leave
 		return err
 	}
 	d := pg.Data
-	wantType := byte(dfPageLeaf)
+	wantType := byte(pageLeaf)
 	if lvl > 0 {
 		wantType = dfPageNonleaf
 	}
@@ -90,20 +90,20 @@ func (t *DiskFirst) checkPageSubtree(pid uint32, lvl int, lo, hi *idx.Key, leave
 		return fmt.Errorf("diskfirst: empty nonleaf page %d", pid)
 	}
 	for j, e := range entries {
-		lob := &entries[j].key
+		lob := &entries[j].Key
 		if j == 0 {
 			lob = lo
 		}
 		var hib *idx.Key
 		if j+1 < len(entries) {
-			hib = &entries[j+1].key
+			hib = &entries[j+1].Key
 		} else {
 			hib = hi
 		}
-		if e.ptr == 0 {
+		if e.TID == 0 {
 			return fmt.Errorf("diskfirst: nil child in page %d", pid)
 		}
-		if err := t.checkPageSubtree(e.ptr, lvl-1, lob, hib, leaves); err != nil {
+		if err := t.checkPageSubtree(e.TID, lvl-1, lob, hib, leaves); err != nil {
 			return err
 		}
 	}
@@ -143,17 +143,17 @@ func (t *DiskFirst) checkInPage(d []byte, pid uint32, lo, hi *idx.Key) error {
 			if err := markRange(off, t.x, 1); err != nil {
 				return err
 			}
-			cnt := t.lCount(d, off)
+			cnt := t.count(d, off)
 			if cnt > t.capL {
 				return fmt.Errorf("diskfirst: page %d leaf node %d overflows (%d > %d)", pid, off, cnt, t.capL)
 			}
-			if t.gappedLeafPage(d) {
+			if t.gappedPage(d) {
 				// Gapped leaf: count is occupancy; live keys must be
 				// sorted among themselves across the gaps.
 				occ := 0
 				var prev idx.Key
 				for i := 0; i < t.capL; i++ {
-					k := t.lKey(d, off, i)
+					k := t.key(d, off, i)
 					if k == gapSentinel {
 						continue
 					}
@@ -176,8 +176,8 @@ func (t *DiskFirst) checkInPage(d []byte, pid uint32, lo, hi *idx.Key) error {
 				return nil
 			}
 			for i := 0; i < cnt; i++ {
-				k := t.lKey(d, off, i)
-				if i > 0 && k < t.lKey(d, off, i-1) {
+				k := t.key(d, off, i)
+				if i > 0 && k < t.key(d, off, i-1) {
 					return fmt.Errorf("diskfirst: page %d leaf node %d unsorted", pid, off)
 				}
 				if lo != nil && k < *lo {
@@ -193,12 +193,12 @@ func (t *DiskFirst) checkInPage(d []byte, pid uint32, lo, hi *idx.Key) error {
 		if err := markRange(off, t.w, 1); err != nil {
 			return err
 		}
-		cnt := t.nCount(d, off)
+		cnt := t.count(d, off)
 		if cnt < 1 || cnt > t.capN {
 			return fmt.Errorf("diskfirst: page %d nonleaf node %d count %d out of range", pid, off, cnt)
 		}
 		for i := 0; i < cnt; i++ {
-			if i > 0 && t.nKey(d, off, i) < t.nKey(d, off, i-1) {
+			if i > 0 && t.nonleaf.key(d, off, i) < t.nonleaf.key(d, off, i-1) {
 				return fmt.Errorf("diskfirst: page %d nonleaf node %d unsorted", pid, off)
 			}
 			if err := walk(t.nChild(d, off, i), lvl-1); err != nil {
@@ -227,9 +227,9 @@ func (t *DiskFirst) checkInPage(d []byte, pid uint32, lo, hi *idx.Key) error {
 	have := false
 	total := 0
 	for _, off := range leafOrder {
-		total += t.lCount(d, off)
-		for j := t.lNextOccupied(d, off, 0); j >= 0; j = t.lNextOccupied(d, off, j+1) {
-			k := t.lKey(d, off, j)
+		total += t.count(d, off)
+		for j := t.nextOccupied(d, off, 0); j >= 0; j = t.nextOccupied(d, off, j+1) {
+			k := t.key(d, off, j)
 			if have && k < last {
 				return fmt.Errorf("diskfirst: page %d keys regress across in-page chain", pid)
 			}

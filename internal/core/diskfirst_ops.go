@@ -33,7 +33,7 @@ func (t *DiskFirst) Bulkload(entries []idx.Entry, fill float64) error {
 		min idx.Key
 		pid uint32
 	}
-	makeLevel := func(prs []pair, lvl int, spread bool) ([]ref, error) {
+	makeLevel := func(prs []idx.Entry, lvl int, spread bool) ([]ref, error) {
 		var out []ref
 		var prev buffer.Page
 		for i := 0; i < len(prs) || (len(prs) == 0 && i == 0); i += per {
@@ -45,7 +45,7 @@ func (t *DiskFirst) Bulkload(entries []idx.Entry, fill float64) error {
 			if err != nil {
 				return nil, err
 			}
-			typ := byte(dfPageLeaf)
+			typ := byte(pageLeaf)
 			if lvl > 0 {
 				typ = dfPageNonleaf
 			}
@@ -64,7 +64,7 @@ func (t *DiskFirst) Bulkload(entries []idx.Entry, fill float64) error {
 			prev = pg
 			var mn idx.Key
 			if j > i {
-				mn = prs[i].key
+				mn = prs[i].Key
 			}
 			out = append(out, ref{mn, pg.ID})
 			if len(prs) == 0 {
@@ -77,20 +77,17 @@ func (t *DiskFirst) Bulkload(entries []idx.Entry, fill float64) error {
 		return out, nil
 	}
 
-	prs := make([]pair, len(entries))
-	for i, e := range entries {
-		prs[i] = pair{e.Key, e.TID}
-	}
-	level, err := makeLevel(prs, 0, true)
+	level, err := makeLevel(entries, 0, true)
 	if err != nil {
 		return err
 	}
 	t.SetFirstLeaf(level[0].pid)
 	height := 1
+	var prs []idx.Entry
 	for len(level) > 1 {
 		prs = prs[:0]
 		for _, r := range level {
-			prs = append(prs, pair{r.min, r.pid})
+			prs = append(prs, idx.Entry{Key: r.min, TID: r.pid})
 		}
 		if level, err = makeLevel(prs, height, false); err != nil {
 			return err
@@ -114,8 +111,8 @@ func (t *DiskFirst) Search(k idx.Key) (idx.TupleID, bool, error) {
 	if err != nil || !found {
 		return 0, false, err
 	}
-	t.mm.Access(pg.Addr+uint64(t.lPtrPos(off, slot)), 4)
-	tid := t.lPtr(pg.Data, off, slot)
+	t.mm.Access(pg.Addr+uint64(t.ptrPos(off, slot)), 4)
+	tid := t.ptrAt(pg.Data, off, slot)
 	t.pool.Unpin(pg, false)
 	return tid, true, nil
 }
@@ -159,11 +156,11 @@ func (t *DiskFirst) findFirst(k idx.Key, excl bool) (buffer.Page, int, int, bool
 		}
 		for off != 0 {
 			t.visitLeaf(pg, off)
-			slot, _ := t.searchLeafNode(pg, off, k, true)
-			slot = t.lNextOccupied(pg.Data, off, slot+1)
+			slot, _ := t.search(pg, off, k, true)
+			slot = t.nextOccupied(pg.Data, off, slot+1)
 			if slot >= 0 {
-				t.mm.Access(pg.Addr+uint64(t.lKeyPos(off, slot)), 4)
-				if t.lKey(pg.Data, off, slot) == k {
+				t.mm.Access(pg.Addr+uint64(t.keyPos(off, slot)), 4)
+				if t.key(pg.Data, off, slot) == k {
 					return pg, off, slot, true, nil
 				}
 				t.pool.Unpin(pg, false)
@@ -189,7 +186,7 @@ func (t *DiskFirst) Insert(k idx.Key, tid idx.TupleID) error {
 
 // InitLeafRoot implements pagetree.Layout.
 func (t *DiskFirst) InitLeafRoot(d []byte) error {
-	dfSetType(d, dfPageLeaf)
+	dfSetType(d, pageLeaf)
 	return t.buildInPage(d, nil, true)
 }
 
@@ -197,15 +194,15 @@ func (t *DiskFirst) InitLeafRoot(d []byte) error {
 func (t *DiskFirst) InitRoot(d []byte, level int, leftMin idx.Key, left uint32, sep idx.Key, right uint32) error {
 	dfSetType(d, dfPageNonleaf)
 	dfSetLevel(d, byte(level))
-	return t.buildInPage(d, []pair{{leftMin, left}, {sep, right}}, false)
+	return t.buildInPage(d, []idx.Entry{{Key: leftMin, TID: left}, {Key: sep, TID: right}}, false)
 }
 
 // MinKey implements pagetree.Layout: the first entry key of a page
 // (its min separator).
 func (t *DiskFirst) MinKey(d []byte) idx.Key {
 	for off := dfFirstLeaf(d); off != 0; off = t.lNext(d, off) {
-		if i := t.lFirstOccupied(d, off); i >= 0 {
-			return t.lKey(d, off, i)
+		if i := t.nextOccupied(d, off, 0); i >= 0 {
+			return t.key(d, off, i)
 		}
 	}
 	return 0
@@ -217,8 +214,8 @@ func (t *DiskFirst) Next(d []byte) uint32 { return dfNextPage(d) }
 // FirstChild implements pagetree.Layout.
 func (t *DiskFirst) FirstChild(d []byte) uint32 {
 	for off := dfFirstLeaf(d); off != 0; off = t.lNext(d, off) {
-		if t.lCount(d, off) > 0 {
-			return t.lPtr(d, off, 0)
+		if t.count(d, off) > 0 {
+			return t.ptrAt(d, off, 0)
 		}
 	}
 	return 0
@@ -231,13 +228,13 @@ func (t *DiskFirst) FirstChild(d []byte) uint32 {
 // more entry, reorganizing its in-page tree if needed, and therefore
 // cannot split.
 func (t *DiskFirst) Safe(d []byte) bool {
-	if t.gappedLeafPage(d) {
+	if t.gappedPage(d) {
 		// Gapped leaf nodes refuse direct inserts at the two-thirds
 		// split threshold, so the dense bound overstates what this page
 		// can absorb: a reorganize spreads the entries evenly over the
 		// canonical leaf nodes, and the follow-up insert is guaranteed
 		// only while every rebuilt node stays below that threshold.
-		return dfEntries(d) < t.leafNodes*(t.leafSplitAt(true)-1)
+		return dfEntries(d) < t.leafNodes*(t.splitAt(d)-1)
 	}
 	return dfEntries(d) < t.fanout-t.leafNodes
 }
@@ -271,22 +268,22 @@ func (t *DiskFirst) ChildForInsert(pg buffer.Page, k idx.Key) (uint32, bool) {
 	var path inPath
 	leafOff := t.descendInPage(pg, k, false, &path)
 	t.visitLeaf(pg, leafOff)
-	slot, _ := t.searchLeafNode(pg, leafOff, k, false)
+	slot, _ := t.search(pg, leafOff, k, false)
 	if slot < 0 {
 		slot = 0
-		if t.lCount(d, leafOff) > 0 && t.lKey(d, leafOff, 0) > k {
-			t.lSetKey(d, leafOff, 0, k)
-			t.mm.Access(pg.Addr+uint64(t.lKeyPos(leafOff, 0)), 4)
+		if t.count(d, leafOff) > 0 && t.key(d, leafOff, 0) > k {
+			t.setKey(d, leafOff, 0, k)
+			t.mm.Access(pg.Addr+uint64(t.keyPos(leafOff, 0)), 4)
 			lowered = true
 			for i, noff := range path.offs {
-				if path.slots[i] == 0 && t.nCount(d, noff) > 0 && t.nKey(d, noff, 0) > k {
-					t.nSetKey(d, noff, 0, k)
+				if path.slots[i] == 0 && t.count(d, noff) > 0 && t.nonleaf.key(d, noff, 0) > k {
+					t.nonleaf.setKey(d, noff, 0, k)
 				}
 			}
 		}
 	}
-	t.mm.Access(pg.Addr+uint64(t.lPtrPos(leafOff, slot)), 4)
-	return t.lPtr(d, leafOff, slot), lowered
+	t.mm.Access(pg.Addr+uint64(t.ptrPos(leafOff, slot)), 4)
+	return t.ptrAt(d, leafOff, slot), lowered
 }
 
 // reorganizePage rebuilds the page's in-page tree from its entries
@@ -297,7 +294,7 @@ func (t *DiskFirst) ChildForInsert(pg buffer.Page, k idx.Key) (uint32, bool) {
 func (t *DiskFirst) reorganizePage(pg buffer.Page) error {
 	entries := t.collectEntries(pg.Data)
 	used := dfNextFree(pg.Data) * lineSize
-	spread := dfType(pg.Data) == dfPageLeaf
+	spread := dfType(pg.Data) == pageLeaf
 	// Reorganization reads every entry once and writes it to its new
 	// slot in the same (cache-resident-by-then) page.
 	t.mm.Copy(pg.Addr+lineSize, used-lineSize)
@@ -321,7 +318,7 @@ func (t *DiskFirst) SplitPage(pg buffer.Page) (idx.Key, uint32, error) {
 	dfSetLevel(np.Data, dfLevel(pg.Data))
 	// Leaf pages spread so subsequent inserts find slots; nonleaf pages
 	// pack (§3.1.2).
-	spread := dfType(pg.Data) == dfPageLeaf
+	spread := dfType(pg.Data) == pageLeaf
 
 	// Charge: copy the moved half of the in-page leaf nodes to the new
 	// page and rebuild both pages' (much smaller) nonleaf structure —
@@ -360,7 +357,7 @@ func (t *DiskFirst) SplitPage(pg buffer.Page) (idx.Key, uint32, error) {
 		dfSetPrevPage(rp.Data, np.ID)
 		t.pool.Unpin(rp, true)
 	}
-	sep := entries[mid].key
+	sep := entries[mid].Key
 	newPID := np.ID
 	t.pool.Unpin(np, true)
 	return sep, newPID, nil
@@ -377,20 +374,8 @@ func (t *DiskFirst) Delete(k idx.Key) (bool, error) {
 	if err != nil || !found {
 		return false, err
 	}
-	d := pg.Data
-	cnt := t.lCount(d, off)
-	if t.gappedLeafPage(d) {
-		// Punch a gap in place of the removed entry: O(1), no shifting.
-		t.lSetKey(d, off, slot, gapSentinel)
-		t.mm.Access(pg.Addr+uint64(t.lKeyPos(off, slot)), 4)
-	} else if moved := cnt - slot - 1; moved > 0 {
-		copy(d[t.lKeyPos(off, slot):t.lKeyPos(off, cnt-1)], d[t.lKeyPos(off, slot+1):t.lKeyPos(off, cnt)])
-		copy(d[t.lPtrPos(off, slot):t.lPtrPos(off, cnt-1)], d[t.lPtrPos(off, slot+1):t.lPtrPos(off, cnt)])
-		t.mm.Copy(pg.Addr+uint64(t.lKeyPos(off, slot)), moved*4)
-		t.mm.Copy(pg.Addr+uint64(t.lPtrPos(off, slot)), moved*4)
-	}
-	t.lSetCount(d, off, cnt-1)
-	dfSetEntries(d, dfEntries(d)-1)
+	t.remove(pg, off, slot)
+	dfSetEntries(pg.Data, dfEntries(pg.Data)-1)
 	t.pool.Unpin(pg, true)
 	return true, nil
 }

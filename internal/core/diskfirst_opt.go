@@ -72,11 +72,11 @@ func (t *DiskFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st
 		// wild offset a cycle never faults into the recover above.
 		for hops := 0; off != 0 && hops < t.pageLines; hops++ {
 			prefetchNode(t.mm, buffer.Page{Data: d}, off, t.x)
-			slot, _ := t.searchLeafNode(buffer.Page{Data: d}, off, k, true)
-			slot = t.lNextOccupied(d, off, slot+1)
+			slot, _ := t.search(buffer.Page{Data: d}, off, k, true)
+			slot = t.nextOccupied(d, off, slot+1)
 			if slot >= 0 {
-				key := t.lKey(d, off, slot)
-				tid := t.lPtr(d, off, slot)
+				key := t.key(d, off, slot)
+				tid := t.ptrAt(d, off, slot)
 				if !t.pool.ValidateOpt(pg) {
 					return 0, false, buffer.OptRetry
 				}
@@ -102,7 +102,7 @@ func (t *DiskFirst) descendInPageOpt(d []byte, k idx.Key, lt bool) int {
 	off := dfRoot(d)
 	for lvl := dfInLevels(d); lvl > 1; lvl-- {
 		prefetchNode(t.mm, pg, off, t.w)
-		slot := t.searchNonleaf(pg, off, k, lt)
+		slot, _ := t.nonleaf.search(pg, off, k, lt)
 		if slot < 0 {
 			slot = 0
 		}
@@ -116,10 +116,10 @@ func (t *DiskFirst) descendInPageOpt(d []byte, k idx.Key, lt bool) int {
 func (t *DiskFirst) ChildForOpt(d []byte, k idx.Key, lt bool) (uint32, bool) {
 	off := t.descendInPageOpt(d, k, lt)
 	prefetchNode(t.mm, buffer.Page{Data: d}, off, t.x)
-	slot, _ := t.searchLeafNode(buffer.Page{Data: d}, off, k, lt)
+	slot, _ := t.search(buffer.Page{Data: d}, off, k, lt)
 	below := slot < 0
 	if below {
 		slot = 0
 	}
-	return t.lPtr(d, off, slot), below
+	return t.ptrAt(d, off, slot), below
 }

@@ -63,7 +63,7 @@ func (t *DiskFirst) ScanLeaf(pg buffer.Page, lo, hi idx.Key, reverse, seek bool,
 		}
 		off = t.descendInPage(pg, k, !reverse, nil)
 		t.visitLeaf(pg, off)
-		from, _ = t.searchLeafNode(pg, off, k, !reverse)
+		from, _ = t.search(pg, off, k, !reverse)
 		if !reverse {
 			from++
 		}
@@ -71,8 +71,7 @@ func (t *DiskFirst) ScanLeaf(pg buffer.Page, lo, hi idx.Key, reverse, seek bool,
 			at--
 		}
 	}
-	s := nodeScan{mm: t.mm, lo: lo, hi: hi, reverse: reverse, fn: fn}
-	gapped := t.gappedLeafPage(d)
+	s := nodeScan{n: &t.pbNode, lo: lo, hi: hi, reverse: reverse, fn: fn}
 	for ; off != 0; seek = false {
 		if !jpa {
 			t.visitLeaf(pg, off)
@@ -81,7 +80,7 @@ func (t *DiskFirst) ScanLeaf(pg buffer.Page, lo, hi idx.Key, reverse, seek bool,
 			t.mm.Access(pg.Addr+uint64(nodeBase(off)), dfLeafHdr)
 			t.mm.Busy(memsim.CostNodeVisit)
 		}
-		slots := t.lSlots(d, off)
+		slots := t.slots(d, off)
 		switch {
 		case seek: // from is where the search landed
 		case reverse:
@@ -89,7 +88,7 @@ func (t *DiskFirst) ScanLeaf(pg buffer.Page, lo, hi idx.Key, reverse, seek bool,
 		default:
 			from = 0
 		}
-		if s.node(pg, t.lKeyPos(off, 0), t.capL, from, slots, gapped) {
+		if s.node(pg, off, from, slots) {
 			return s.count, true
 		}
 		if reverse {
@@ -109,19 +108,19 @@ func (t *DiskFirst) JumpPointers(pg buffer.Page, first, last uint32, extra int, 
 	d := pg.Data
 	for off := dfFirstLeaf(d); off != 0; off = t.lNext(d, off) {
 		t.mm.Access(pg.Addr+uint64(nodeBase(off)), dfLeafHdr)
-		cnt := t.lCount(d, off)
+		cnt := t.count(d, off)
 		for i := 0; i < cnt; i++ {
-			child := t.lPtr(d, off, i)
+			child := t.ptrAt(d, off, i)
 			if first != 0 && child != first {
 				continue
 			}
 			first = 0
-			t.mm.Access(pg.Addr+uint64(t.lPtrPos(off, i)), 4)
+			t.mm.Access(pg.Addr+uint64(t.ptrPos(off, i)), 4)
 			dst = append(dst, child)
 			if child == last {
 				// The ablation runs on to the end of this in-page node.
 				for j := i + 1; j < cnt && j <= i+extra; j++ {
-					dst = append(dst, t.lPtr(d, off, j))
+					dst = append(dst, t.ptrAt(d, off, j))
 				}
 				return dst, true
 			}

@@ -174,10 +174,10 @@ func TestGappedSearchEquivalence(t *testing.T) {
 		for off := dfFirstLeaf(pg.Data); off != 0; off = tr.lNext(pg.Data, off) {
 			physical := make([]idx.Key, tr.capL)
 			for i := range physical {
-				physical[i] = tr.lKey(pg.Data, off, i)
+				physical[i] = tr.key(pg.Data, off, i)
 			}
 			probeAll(t, physical, func(k idx.Key, lt bool) (int, bool) {
-				return tr.searchLeafNode(pg, off, k, lt)
+				return tr.search(pg, off, k, lt)
 			})
 			nodes++
 		}
@@ -208,10 +208,10 @@ func TestGappedSearchEquivalence(t *testing.T) {
 			}
 			physical := make([]idx.Key, tr.capL)
 			for i := range physical {
-				physical[i] = tr.cKey(pg.Data, cur.off, i)
+				physical[i] = tr.key(pg.Data, cur.off, i)
 			}
 			probeAll(t, physical, func(k idx.Key, lt bool) (int, bool) {
-				return tr.searchNode(pg, cur.off, k, lt)
+				return tr.search(pg, cur.off, k, lt)
 			})
 			next := tr.cNextLeaf(pg.Data, cur.off)
 			tr.pool.Unpin(pg, false)

@@ -12,39 +12,19 @@ import (
 // In-page search microbenchmark backing `fpbench -inpage`: one leaf
 // node, the three search implementations (the original branchy binary
 // search, the branchless binary search, and the data-parallel SWAR
-// scan), unpredictable probe keys. The tests reuse the same kernels so
-// the numbers in BENCH_inpage.json describe exactly the code the tree
-// runs.
+// scan), unpredictable probe keys. SWAR is pbNode.search, the kernel
+// both trees run; the other two are its baselines, tested against it.
 
-// searchLeafNodeReference is the original branchy binary search, kept
-// as the semantic baseline for tests and benchmarks.
-func (t *DiskFirst) searchLeafNodeReference(pg buffer.Page, off int, k idx.Key, lt bool) (int, bool) {
-	lo, hi := 0, t.lCount(pg.Data, off)
-	exact := false
-	for lo < hi {
-		mid := (lo + hi) / 2
-		mk := t.probe(pg, t.lKeyPos(off, mid))
-		if mk < k || (!lt && mk == k) {
-			lo = mid + 1
-			if mk == k {
-				exact = true
-			}
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1, exact
-}
-
-// leafSearchImpl maps an implementation name to its leaf-search kernel.
-func (t *DiskFirst) leafSearchImpl(impl string) func(buffer.Page, int, idx.Key, bool) (int, bool) {
+// leafSearchImpl maps an implementation name to its node-search
+// kernel: pbNode's search or one of its two baselines.
+func (t *DiskFirst) leafSearchImpl(impl string) func(pg buffer.Page, off int, k idx.Key, lt bool) (int, bool) {
 	switch impl {
 	case "swar":
-		return t.searchLeafNode
+		return t.search
 	case "branchless":
-		return t.searchLeafNodeBranchless
+		return t.searchBranchless
 	case "reference":
-		return t.searchLeafNodeReference
+		return t.searchReference
 	}
 	return nil
 }
@@ -108,8 +88,8 @@ func BenchInPageSearch(leafBytes, iters int) ([]InPageBenchResult, error) {
 	}
 	defer pool.Unpin(pg, false)
 	off := dfFirstLeaf(pg.Data)
-	cnt := tr.lCount(pg.Data, off)
-	span := uint32(tr.lKey(pg.Data, off, cnt-1)) + 2
+	cnt := tr.count(pg.Data, off)
+	span := uint32(tr.key(pg.Data, off, cnt-1)) + 2
 
 	type lane struct {
 		search func(buffer.Page, int, idx.Key, bool) (int, bool)

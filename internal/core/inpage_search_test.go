@@ -9,46 +9,6 @@ import (
 	"repro/internal/treetest"
 )
 
-// The branchy forms the branchless loops replaced, kept verbatim as the
-// reference: equal slot/exact results and equal charged probe work on
-// every node and key prove the rewrite preserves both answers and the
-// simulated cost tables.
-
-func (t *DiskFirst) refSearchNonleaf(pg buffer.Page, off int, k idx.Key, lt bool) int {
-	lo, hi := 0, t.nCount(pg.Data, off)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		mk := t.probe(pg, t.nKeyPos(off, mid))
-		if mk < k || (!lt && mk == k) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
-}
-
-// The disk-first leaf reference lives in inpage_bench.go
-// (searchLeafNodeReference) so the benchmark binary can use it too.
-
-func (t *CacheFirst) refSearchNode(pg buffer.Page, off int, k idx.Key, lt bool) (int, bool) {
-	lo, hi := 0, t.cCount(pg.Data, off)
-	exact := false
-	for lo < hi {
-		mid := (lo + hi) / 2
-		mk := t.probe(pg, t.cKeyPos(off, mid))
-		if mk < k || (!lt && mk == k) {
-			lo = mid + 1
-			if mk == k {
-				exact = true
-			}
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1, exact
-}
-
 // probeKeys builds the interesting search keys for a node: every stored
 // key, its neighbours, and the extremes.
 func probeKeys(keys []idx.Key) []idx.Key {
@@ -80,6 +40,37 @@ func checkSameCharge(t *testing.T, mm *memsim.Model, fresh, ref func()) {
 	if dNew != dRef {
 		t.Fatalf("probe charging diverged: branchless {cycles %d, fetches %d}, branchy {cycles %d, fetches %d}",
 			dNew[0], dNew[1], dRef[0], dRef[1])
+	}
+}
+
+// checkSearch checks pbNode's search against its two baselines — the
+// branchless binary search it replaced and the original branchy one —
+// on node off of pg, for every interesting key
+// in both modes: equal slot/exact answers, and equal charged probe
+// work, which proves the SWAR rewrite preserves both the answers and
+// the simulated cost tables.
+func checkSearch(t *testing.T, n *pbNode, pg buffer.Page, off int) {
+	t.Helper()
+	keys := make([]idx.Key, n.count(pg.Data, off))
+	for i := range keys {
+		keys[i] = n.key(pg.Data, off, i)
+	}
+	for _, k := range probeKeys(keys) {
+		for _, lt := range []bool{false, true} {
+			want, wantEx := n.searchReference(pg, off, k, lt)
+			if got, gotEx := n.search(pg, off, k, lt); got != want || gotEx != wantEx {
+				t.Fatalf("search(off=%d, k=%d, lt=%v) = (%d,%v), want (%d,%v)", off, k, lt, got, gotEx, want, wantEx)
+			}
+			if got, gotEx := n.searchBranchless(pg, off, k, lt); got != want || gotEx != wantEx {
+				t.Fatalf("searchBranchless(off=%d, k=%d, lt=%v) = (%d,%v), want (%d,%v)", off, k, lt, got, gotEx, want, wantEx)
+			}
+			checkSameCharge(t, n.mm,
+				func() { n.search(pg, off, k, lt) },
+				func() { n.searchReference(pg, off, k, lt) })
+			checkSameCharge(t, n.mm,
+				func() { n.search(pg, off, k, lt) },
+				func() { n.searchBranchless(pg, off, k, lt) })
+		}
 	}
 }
 
@@ -115,28 +106,7 @@ func TestBranchlessSearchEquivalenceDiskFirst(t *testing.T) {
 	for lvl := dfInLevels(d); lvl > 1; lvl-- {
 		checked := 0
 		for off := levelHead; off != 0; off = tr.nNext(d, off) {
-			nodeKeys := make([]idx.Key, tr.nCount(d, off))
-			for i := range nodeKeys {
-				nodeKeys[i] = tr.nKey(d, off, i)
-			}
-			for _, k := range probeKeys(nodeKeys) {
-				for _, lt := range []bool{false, true} {
-					got := tr.searchNonleaf(pg, off, k, lt)
-					want := tr.refSearchNonleaf(pg, off, k, lt)
-					if got != want {
-						t.Fatalf("searchNonleaf(off=%d, k=%d, lt=%v) = %d, want %d", off, k, lt, got, want)
-					}
-					if bl := tr.searchNonleafBranchless(pg, off, k, lt); bl != want {
-						t.Fatalf("searchNonleafBranchless(off=%d, k=%d, lt=%v) = %d, want %d", off, k, lt, bl, want)
-					}
-					checkSameCharge(t, env.Model,
-						func() { tr.searchNonleaf(pg, off, k, lt) },
-						func() { tr.refSearchNonleaf(pg, off, k, lt) })
-					checkSameCharge(t, env.Model,
-						func() { tr.searchNonleaf(pg, off, k, lt) },
-						func() { tr.searchNonleafBranchless(pg, off, k, lt) })
-				}
-			}
+			checkSearch(t, &tr.nonleaf, pg, off)
 			checked++
 		}
 		if checked == 0 {
@@ -148,27 +118,7 @@ func TestBranchlessSearchEquivalenceDiskFirst(t *testing.T) {
 	// Every in-page leaf node.
 	leaves := 0
 	for off := dfFirstLeaf(d); off != 0; off = tr.lNext(d, off) {
-		nodeKeys := make([]idx.Key, tr.lCount(d, off))
-		for i := range nodeKeys {
-			nodeKeys[i] = tr.lKey(d, off, i)
-		}
-		for _, k := range probeKeys(nodeKeys) {
-			for _, lt := range []bool{false, true} {
-				got, gotEx := tr.searchLeafNode(pg, off, k, lt)
-				want, wantEx := tr.searchLeafNodeReference(pg, off, k, lt)
-				if got != want || gotEx != wantEx {
-					t.Fatalf("searchLeafNode(off=%d, k=%d, lt=%v) = (%d,%v), want (%d,%v)",
-						off, k, lt, got, gotEx, want, wantEx)
-				}
-				if bl, blEx := tr.searchLeafNodeBranchless(pg, off, k, lt); bl != want || blEx != wantEx {
-					t.Fatalf("searchLeafNodeBranchless(off=%d, k=%d, lt=%v) = (%d,%v), want (%d,%v)",
-						off, k, lt, bl, blEx, want, wantEx)
-				}
-				checkSameCharge(t, env.Model,
-					func() { tr.searchLeafNode(pg, off, k, lt) },
-					func() { tr.searchLeafNodeBranchless(pg, off, k, lt) })
-			}
-		}
+		checkSearch(t, &tr.pbNode, pg, off)
 		leaves++
 	}
 	if leaves == 0 {
@@ -190,7 +140,7 @@ func TestBranchlessSearchEquivalenceCacheFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Walk the whole node tree from the root: searchNode serves both
+	// Walk the whole node tree from the root: the search serves both
 	// node kinds, so check every reachable node.
 	var walk func(at ptr, lvl int)
 	walk = func(at ptr, lvl int) {
@@ -200,33 +150,9 @@ func TestBranchlessSearchEquivalenceCacheFirst(t *testing.T) {
 		}
 		defer tr.pool.Unpin(pg, false)
 		d := pg.Data
-		cnt := tr.cCount(d, at.off)
-		nodeKeys := make([]idx.Key, cnt)
-		for i := range nodeKeys {
-			nodeKeys[i] = tr.cKey(d, at.off, i)
-		}
-		for _, k := range probeKeys(nodeKeys) {
-			for _, lt := range []bool{false, true} {
-				got, gotEx := tr.searchNode(pg, at.off, k, lt)
-				want, wantEx := tr.refSearchNode(pg, at.off, k, lt)
-				if got != want || gotEx != wantEx {
-					t.Fatalf("searchNode(%v, k=%d, lt=%v) = (%d,%v), want (%d,%v)",
-						at, k, lt, got, gotEx, want, wantEx)
-				}
-				if bl, blEx := tr.searchNodeBranchless(pg, at.off, k, lt); bl != want || blEx != wantEx {
-					t.Fatalf("searchNodeBranchless(%v, k=%d, lt=%v) = (%d,%v), want (%d,%v)",
-						at, k, lt, bl, blEx, want, wantEx)
-				}
-				checkSameCharge(t, env.Model,
-					func() { tr.searchNode(pg, at.off, k, lt) },
-					func() { tr.refSearchNode(pg, at.off, k, lt) })
-				checkSameCharge(t, env.Model,
-					func() { tr.searchNode(pg, at.off, k, lt) },
-					func() { tr.searchNodeBranchless(pg, at.off, k, lt) })
-			}
-		}
+		checkSearch(t, &tr.pbNode, pg, at.off)
 		if lvl > 1 {
-			for i := 0; i < cnt; i++ {
+			for i := 0; i < tr.count(d, at.off); i++ {
 				walk(tr.cChild(d, at.off, i), lvl-1)
 			}
 		}
@@ -265,8 +191,8 @@ func benchLeafSearch(b *testing.B, impl string) {
 	// key array (or keys mostly beyond the node) lets the branch
 	// predictor memorize or bias the probe outcomes, which is exactly
 	// what random point lookups deny it in production.
-	cnt := tr.lCount(pg.Data, off)
-	span := uint32(tr.lKey(pg.Data, off, cnt-1)) + 2
+	cnt := tr.count(pg.Data, off)
+	span := uint32(tr.key(pg.Data, off, cnt-1)) + 2
 	search := tr.leafSearchImpl(impl)
 	x := uint32(12345)
 	b.ResetTimer()

@@ -143,7 +143,7 @@ func TestCacheFirstSlotFreeChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := tr.newPage(cfPageLeaf)
+	pg, err := tr.newPage(pageLeaf)
 	if err != nil {
 		t.Fatal(err)
 	}

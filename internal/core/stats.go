@@ -38,14 +38,14 @@ func (t *CacheFirst) SpaceStats() (SpaceStats, error) {
 	for pid, kind := range snap {
 		st.Pages++
 		switch kind {
-		case cfPageLeaf:
+		case pageLeaf:
 			st.LeafPages++
 			pg, err := t.pool.Get(pid)
 			if err != nil {
 				return st, err
 			}
 			for _, off := range t.pageSlots(pg.Data) {
-				st.Entries += t.cCount(pg.Data, off)
+				st.Entries += t.count(pg.Data, off)
 			}
 			t.pool.Unpin(pg, false)
 		case cfPageNode:

@@ -22,9 +22,9 @@ import (
 //
 // The simulation's charge model is decoupled from the host-side scan:
 // dense-mode searches compute the answer here and then replay the exact
-// probe sequence of the binary search (see replay helpers in the tree
-// files), so virtual-time experiment tables are byte-identical to the
-// binary-search build.
+// probe sequence of the binary search (pbNode.replaySearchCharges in
+// leafnode.go), so virtual-time experiment tables are byte-identical to
+// the binary-search build.
 
 const (
 	// swarHi selects each 32-bit lane's sign bit.

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/idx"
 	"repro/internal/memsim"
 )
@@ -12,7 +13,9 @@ import (
 // kernels and checks them against scalar reference loops: dense
 // below/above counts on unsorted data, the binary-search insertion
 // bound on sorted data, and the gapped predecessor scan on
-// sentinel-laden layouts. Each fuzz byte group contributes one slot (4
+// sentinel-laden layouts. The node kernel's search then runs on a node
+// image of the same sorted and gapped slots, against its branchy
+// baseline and the gapped reference. Each fuzz byte group contributes one slot (4
 // key bytes + 1 gap flag), so the corpus explores slot counts, duplicate
 // runs, sentinel placement, and both probe modes.
 func FuzzInPageSearch(f *testing.F) {
@@ -74,6 +77,7 @@ func FuzzInPageSearch(f *testing.F) {
 		// Insertion bound on the sorted layout, against sort.Search.
 		sorted := append([]idx.Key(nil), keys...)
 		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+		checkKernel(t, sorted, false, k, lt)
 		for i, kk := range sorted {
 			le.PutUint32(buf[4*i:], uint32(kk))
 		}
@@ -122,6 +126,7 @@ func FuzzInPageSearch(f *testing.F) {
 			}
 			le.PutUint32(buf[4*i:], uint32(physical[i]))
 		}
+		checkKernel(t, physical, true, k, lt)
 		gotSlot, gotEq := swarScanGapped(buf, 0, slots, k, lt)
 		wantSlot, wantEq := refGappedLeafSearch(physical, k, lt)
 		// The kernel reports raw equality; tree callers (and the
@@ -139,6 +144,31 @@ func FuzzInPageSearch(f *testing.F) {
 				physical, k, lt, gotEq, anyEq)
 		}
 	})
+}
+
+// checkKernel lays slots out as leaf node 1 of a leaf page — sorted
+// dense keys, or a gapped node of exactly len(slots) slots — and checks
+// pbNode.search on it against the branchy baseline (dense) or the
+// gapped reference.
+func checkKernel(t *testing.T, slots []idx.Key, gapped bool, k idx.Key, lt bool) {
+	t.Helper()
+	mm := memsim.NewDefault()
+	n := pbNode{mm: mm, hdr: cfNodeHdr, capL: len(slots), gapped: gapped}
+	pg := buffer.Page{Data: make([]byte, n.ptrPos(1, len(slots)))}
+	pg.Data[0] = pageLeaf
+	n.setCount(pg.Data, 1, len(slots))
+	for i, kk := range slots {
+		n.setKey(pg.Data, 1, i, kk)
+	}
+	got, gotEx := n.search(pg, 1, k, lt)
+	want, wantEx := refGappedLeafSearch(slots, k, lt)
+	if !gapped {
+		want, wantEx = n.searchReference(pg, 1, k, lt)
+	}
+	if got != want || gotEx != wantEx {
+		t.Fatalf("pbNode.search(%v, gapped=%v, %d, lt=%v) = (%d, %v), reference (%d, %v)",
+			slots, gapped, k, lt, got, gotEx, want, wantEx)
+	}
 }
 
 // FuzzPrefetchNode hands prefetchNode arbitrary page sizes, node

@@ -121,13 +121,6 @@ func NewStatelessChecksumStore(inner buffer.Store) *ChecksumStore {
 // PageSize implements buffer.Store: the logical size the pool sees.
 func (s *ChecksumStore) PageSize() int { return s.logical }
 
-// WrittenPages reports how many pages carry a trailer.
-func (s *ChecksumStore) WrittenPages() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.written)
-}
-
 // WritePage implements buffer.Store: append the trailer and write the
 // physical page.
 func (s *ChecksumStore) WritePage(pid uint32, src []byte, now uint64) (uint64, error) {

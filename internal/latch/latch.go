@@ -287,11 +287,6 @@ func (t *Table) OptRestarts() uint64 { return t.optRestarts.Load() }
 // OptFallbacks returns the total optimistic fallbacks recorded.
 func (t *Table) OptFallbacks() uint64 { return t.optFallbacks.Load() }
 
-// SharedAcquisitions returns the total successful shared (latched)
-// acquisitions; the readonly-sweep assertions use it to prove the
-// optimistic path stays latch-free.
-func (t *Table) SharedAcquisitions() uint64 { return t.shared.Load() }
-
 // RegisterMetrics registers the table's counters with reg under the
 // latch.* metric names (see DESIGN.md §11 for the catalog).
 func (t *Table) RegisterMetrics(reg *obs.Registry) {
