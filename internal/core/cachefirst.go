@@ -445,18 +445,3 @@ func (t *CacheFirst) visitNode(pg buffer.Page, off int) {
 		t.tr.NodeVisit(pg.ID, off, t.mm.Now(), t.pool.Clock())
 	}
 }
-
-// getPage pins a page, reusing cur if it is already the right one.
-// Returns the page and whether it was newly pinned.
-func (t *CacheFirst) getPage(cur buffer.Page, pid uint32) (buffer.Page, bool, error) {
-	if cur.Valid() && cur.ID == pid {
-		// Same page: §3.2.2's "directly access the node in the page
-		// without retrieving the page from the buffer manager".
-		return cur, false, nil
-	}
-	pg, err := t.pool.Get(pid)
-	if err != nil {
-		return buffer.Page{}, false, err
-	}
-	return pg, true, nil
-}

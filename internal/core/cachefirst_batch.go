@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/buffer"
 	"repro/internal/idx"
 )
 
@@ -23,10 +22,17 @@ func (t *CacheFirst) SearchBatch(keys []idx.Key, out []idx.SearchResult) ([]idx.
 	}
 	if t.conc {
 		// The level-wise ⟨page, offset⟩ frontier is unsafe under
-		// concurrent relocation; fall back to per-key lookups under the
-		// epoch-validated shared-latch protocol. No per-tree scratch is
-		// touched, so batches run fully in parallel.
-		return t.searchBatchConc(keys, out, base)
+		// concurrent relocation: resolve each key by the latched lookup,
+		// which touches no per-tree scratch, so batches run fully in
+		// parallel.
+		for ki, k := range keys {
+			tid, found, err := t.lookup(k)
+			if err != nil {
+				return out, err
+			}
+			out[base+ki] = idx.SearchResult{TID: tid, Found: found}
+		}
+		return out, nil
 	}
 	s := &t.batch
 	s.Prepare(keys)
@@ -36,7 +42,7 @@ func (t *CacheFirst) SearchBatch(keys []idx.Key, out []idx.SearchResult) ([]idx.
 		s.CurOff[i] = int32(root.off)
 	}
 
-	// Node-level descent (leafNodeFor, batched).
+	// Node-level descent (descend, batched).
 	for lvl := height - 1; lvl > 0; lvl-- {
 		for i := 0; i < n; {
 			pid := s.Cur[i]
@@ -76,8 +82,9 @@ func (t *CacheFirst) SearchBatch(keys []idx.Key, out []idx.SearchResult) ([]idx.
 		}
 	}
 
-	// Leaf phase: one Get per distinct landing page; per key, replay
-	// findFirst's walk over the leaf-node chain.
+	// Leaf phase: one Get per distinct landing page; per key, lookup's
+	// walk over the leaf-node chain (simulate mode: the epoch stays put).
+	e := t.reloc.Load()
 	for i := 0; i < n; {
 		pid := s.Cur[i]
 		pg, err := t.pool.Get(pid)
@@ -88,7 +95,7 @@ func (t *CacheFirst) SearchBatch(keys []idx.Key, out []idx.SearchResult) ([]idx.
 		for ; j < n && s.Cur[j] == pid; j++ {
 			ki := s.Ord[j]
 			at := ptr{pid, int(s.CurOff[j])}
-			tid, found, err := t.resolveLeaf(pg, at, keys[ki])
+			tid, found, _, err := t.findFrom(pg, at, keys[ki], e)
 			if err != nil {
 				t.pool.Unpin(pg, false)
 				return out, err
@@ -99,47 +106,4 @@ func (t *CacheFirst) SearchBatch(keys []idx.Key, out []idx.SearchResult) ([]idx.
 		i = j
 	}
 	return out, nil
-}
-
-// resolveLeaf finishes a search for k from leaf node at, whose page pg
-// is pinned by the caller (and unpinned by it); chain steps into other
-// pages pin and release as findFirst does.
-func (t *CacheFirst) resolveLeaf(pg buffer.Page, at ptr, k idx.Key) (idx.TupleID, bool, error) {
-	cur := at
-	cpg := pg
-	owned := false
-	unpin := func() {
-		if owned {
-			t.pool.Unpin(cpg, false)
-		}
-	}
-	for !cur.isNil() {
-		if cpg.ID != cur.pid {
-			npg, err := t.pool.Get(cur.pid)
-			if err != nil {
-				unpin()
-				return 0, false, err
-			}
-			unpin()
-			cpg = npg
-			owned = true
-		}
-		t.visitNode(cpg, cur.off)
-		slot, _ := t.search(cpg, cur.off, k, true)
-		slot = t.nextOccupied(cpg.Data, cur.off, slot+1)
-		if slot >= 0 {
-			t.mm.Access(cpg.Addr+uint64(t.keyPos(cur.off, slot)), 4)
-			if t.key(cpg.Data, cur.off, slot) == k {
-				t.mm.Access(cpg.Addr+uint64(t.ptrPos(cur.off, slot)), 4)
-				tid := t.ptrAt(cpg.Data, cur.off, slot)
-				unpin()
-				return tid, true, nil
-			}
-			unpin()
-			return 0, false, nil
-		}
-		cur = t.cNextLeaf(cpg.Data, cur.off)
-	}
-	unpin()
-	return 0, false, nil
 }

@@ -10,7 +10,7 @@ package core
 // ⟨pid, off⟩ pointer or tuple ID derived from its bytes is trusted.
 // The epoch catches cross-page node relocations as a unit; the page
 // version catches the individual in-place edits. Restarts are bounded;
-// the one-latch findFirstConc path remains the fallback.
+// the one-latch lookup remains the fallback.
 
 import (
 	"repro/internal/buffer"
