@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/idx"
+	"repro/internal/memsim"
 	"repro/internal/treetest"
 )
 
@@ -179,5 +181,140 @@ func TestCacheFirstSpaceOverheadAfterBulkload(t *testing.T) {
 	baselinePages := (n+baselineCap-1)/baselineCap + 2
 	if got := tr.PageCount(); float64(got) > 1.10*float64(baselinePages) {
 		t.Fatalf("cache-first uses %d pages vs ~%d baseline", got, baselinePages)
+	}
+}
+
+// TestCacheFirstReverseScanInPageSplit replays the race a serving-mode
+// reverse scan runs into: between its descent to endAt, the leaf node
+// that holds hi, and the pin of endAt's page, a structural insert
+// splits endAt inside that page. An in-page split does not move the
+// relocation epoch, so the scan carries on from the stale endAt while
+// the top of the range now sits in a new node chained after it. The
+// scan's first page must still deliver every key of the range.
+func TestCacheFirstReverseScanInPageSplit(t *testing.T) {
+	pool := buffer.NewConcurrentPool(buffer.NewMemStore(4<<10), 512, 4)
+	mm := memsim.NewDefault()
+	mm.SetConcurrent(true)
+	tr, err := NewCacheFirst(CacheFirstConfig{Pool: pool, Model: mm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Bulkload(treetest.GenEntries(4000, 10, 10), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	// endAt: the first leaf node whose page has a free slot for the
+	// split to take.
+	var endAt ptr
+	var lo, hi idx.Key
+	for at := tr.firstLeafPtr(); endAt.isNil(); {
+		if at.isNil() {
+			t.Fatal("no leaf page has a free slot")
+		}
+		pg, err := pool.Get(at.pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := tr.count(pg.Data, at.off); n > 1 && tr.hasSlot(pg.Data) {
+			endAt, lo, hi = at, tr.key(pg.Data, at.off, 0), tr.key(pg.Data, at.off, n-1)
+		}
+		at = tr.cNextLeaf(pg.Data, at.off)
+		pool.Unpin(pg, false)
+	}
+	next := func() ptr {
+		pg, err := pool.Get(endAt.pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Unpin(pg, false)
+		return tr.cNextLeaf(pg.Data, endAt.off)
+	}
+	e, was := tr.reloc.Load(), next()
+	for k := lo + 1; next() == was; k++ {
+		if k >= hi {
+			t.Fatal("endAt never split")
+		}
+		if err := tr.Insert(k, k+7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if right := next(); right.pid != endAt.pid || tr.reloc.Load() != e {
+		t.Fatalf("want an in-page split with the epoch at %d: right node %v, epoch %d", e, right, tr.reloc.Load())
+	}
+
+	var want, got []idx.Key
+	if _, err := tr.RangeScan(lo, hi, func(k idx.Key, _ idx.TupleID) bool {
+		want = append([]idx.Key{k}, want...)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pg, err := pool.Get(endAt.pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := nodeScan{n: &tr.pbNode, lo: lo, hi: hi, reverse: true, fn: func(k idx.Key, _ idx.TupleID) bool {
+		got = append(got, k)
+		return true
+	}}
+	_, err = tr.reverseScanPage(pg, &s, true, endAt)
+	pool.Unpin(pg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("reverse scan of [%d,%d] from the stale endAt delivered\n%v\nwant\n%v", lo, hi, got, want)
+	}
+}
+
+// TestCacheFirstReverseScanStaleDescent covers the other half of that
+// race: a node split above the leaves moves no epoch either, and one
+// that raced the descent leaves it on an earlier leaf page, here the
+// last node of the page before the range's. lastNodeFor must step
+// right across the page to the range's last node.
+func TestCacheFirstReverseScanStaleDescent(t *testing.T) {
+	pool := buffer.NewConcurrentPool(buffer.NewMemStore(4<<10), 512, 4)
+	mm := memsim.NewDefault()
+	mm.SetConcurrent(true)
+	tr, err := NewCacheFirst(CacheFirstConfig{Pool: pool, Model: mm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Bulkload(treetest.GenEntries(4000, 10, 10), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	// stale: the first node whose successor starts another page; want:
+	// that successor, which holds all of [lo, hi].
+	var stale, want ptr
+	var lo, hi idx.Key
+	for at := tr.firstLeafPtr(); want.isNil() && !at.isNil(); {
+		pg, err := pool.Get(at.pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nx := tr.cNextLeaf(pg.Data, at.off); !nx.isNil() && nx.pid != at.pid {
+			stale, want = at, nx
+		}
+		at = tr.cNextLeaf(pg.Data, at.off)
+		pool.Unpin(pg, false)
+	}
+	if want.isNil() {
+		t.Fatal("no leaf node chains into another page")
+	}
+	pg, err := pool.Get(want.pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi = tr.key(pg.Data, want.off, 0), tr.key(pg.Data, want.off, tr.count(pg.Data, want.off)-1)
+	pool.Unpin(pg, false)
+
+	got, ok, err := tr.lastNodeFor(stale, hi, tr.reloc.Load())
+	if err != nil || !ok {
+		t.Fatalf("lastNodeFor: ok=%v err=%v", ok, err)
+	}
+	if got != want {
+		t.Fatalf("lastNodeFor(%v, %d) = %v; want %v, the node holding [%d,%d]", stale, hi, got, want, lo, hi)
+	}
+	if n := pool.PinnedCount(); n != 0 {
+		t.Fatalf("%d pages left pinned", n)
 	}
 }
