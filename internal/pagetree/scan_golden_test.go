@@ -116,21 +116,35 @@ func TestScanPoolSequence(t *testing.T) {
 					continue
 				}
 				flush()
-				switch e.Kind {
-				case obs.EvNodeVisit: // the layout's own trace, off here
-				case obs.EvEvict:
-					fmt.Fprintf(&got, "evict %d dirty=%d\n", e.PID, e.A)
-				default:
-					fmt.Fprintf(&got, "%s %d\n", e.Kind, e.PID)
+				if ev := poolEvent(e); ev != "" {
+					fmt.Fprintln(&got, ev)
 				}
 			}
 			flush()
 		}
 		pool.AttachTracer(nil)
 	}
-	const golden = "testdata/scan.golden"
+	checkGolden(t, "testdata/scan.golden", got.Bytes())
+}
+
+// poolEvent formats one pool trace event as the golden files record it
+// ("" for the layouts' own node-visit events).
+func poolEvent(e obs.Event) string {
+	switch e.Kind {
+	case obs.EvNodeVisit:
+		return ""
+	case obs.EvEvict:
+		return fmt.Sprintf("evict %d dirty=%d", e.PID, e.A)
+	}
+	return fmt.Sprintf("%s %d", e.Kind, e.PID)
+}
+
+// checkGolden compares got with the golden file, which -update
+// rewrites, and reports the first line where they part.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if *pagetree.Update {
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,8 +152,8 @@ func TestScanPoolSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	if !bytes.Equal(got, want) {
+		gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if !bytes.Equal(gl[i], wl[i]) {
 				t.Fatalf("pool sequence diverges from %s at line %d: got %q, want %q", golden, i+1, gl[i], wl[i])
