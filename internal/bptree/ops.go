@@ -124,60 +124,25 @@ func (t *Tree) Bulkload(entries []idx.Entry, fill float64) error {
 // comparisons and then walks forward across the (possibly page-
 // spanning) run of duplicates, so an exact match is found even when
 // deletions have hollowed out later duplicates (separators are only
-// lower bounds).
+// lower bounds). The walk is pagetree's; SeekLeaf is its in-page half.
 func (t *Tree) Search(k idx.Key) (idx.TupleID, bool, error) {
 	t.ops.Searches.Add(1)
-	if tid, found, handled := t.searchOpt(k); handled {
-		return tid, found, nil
-	}
-	pg, slot, found, err := t.findFirst(k, false)
-	if err != nil || !found {
-		return 0, false, err
-	}
-	tid := t.readPtr(pg, slot)
-	t.pool.Unpin(pg, false)
-	return tid, true, nil
+	return t.Lookup(k)
 }
 
-// findFirst locates the first entry with key == k, returning its pinned
-// page and slot (the caller unpins), or found=false. With excl the leaf
-// pages are pinned exclusively (concurrent Delete mutates in place) and
-// the walk starts, whenever it can, from the page a latch-free descent
-// latched (pagetree.StartLeafFor); it holds at most one leaf latch at a
-// time, moving rightward.
-func (t *Tree) findFirst(k idx.Key, excl bool) (buffer.Page, int, bool, error) {
-	pg, pid, err := t.StartLeafFor(k, excl)
-	for ; pid != 0 && err == nil; pg = (buffer.Page{}) {
-		if !pg.Valid() {
-			if excl {
-				pg, err = t.pool.GetX(pid)
-			} else {
-				pg, err = t.pool.Get(pid)
-			}
-			if err != nil {
-				break
-			}
-		}
-		t.TouchHeader(pg)
-		slot, _ := t.searchPage(pg, k, true)
-		slot++
-		n := pCount(pg.Data)
-		if slot < n {
-			t.mm.Access(pg.Addr+uint64(t.keyOff(slot)), idx.KeySize)
-			if t.key(pg.Data, slot) == k {
-				return pg, slot, true, nil
-			}
-			t.pool.Unpin(pg, false)
-			return buffer.Page{}, 0, false, nil
-		}
-		// Every entry in this page is < k (or the page is empty):
-		// the run may start in the next page.
-		next := pNext(pg.Data)
-		t.pool.Unpin(pg, false)
-		pid = next
+// SeekLeaf implements pagetree.Layout: the page is one sorted array, so
+// every page of the walk is binary searched.
+func (t *Tree) SeekLeaf(pg buffer.Page, k idx.Key, _ bool) (int, idx.Key) {
+	slot, _ := t.searchPage(pg, k, true)
+	if slot++; slot >= pCount(pg.Data) {
+		return -1, 0
 	}
-	return buffer.Page{}, 0, false, err
+	t.mm.Access(pg.Addr+uint64(t.keyOff(slot)), idx.KeySize)
+	return slot, t.key(pg.Data, slot)
 }
+
+// TupleAt implements pagetree.Layout.
+func (t *Tree) TupleAt(pg buffer.Page, pos int) idx.TupleID { return t.readPtr(pg, pos) }
 
 // Insert implements idx.Index.
 func (t *Tree) Insert(k idx.Key, tid idx.TupleID) error {
@@ -186,22 +151,13 @@ func (t *Tree) Insert(k idx.Key, tid idx.TupleID) error {
 }
 
 // ChildFor implements pagetree.Layout.
-func (t *Tree) ChildFor(pg buffer.Page, k idx.Key, lt bool) uint32 {
+func (t *Tree) ChildFor(pg buffer.Page, k idx.Key, lt bool) (uint32, bool) {
 	slot, _ := t.searchPage(pg, k, lt)
-	if slot < 0 {
-		slot = 0
-	}
-	return t.readPtr(pg, slot)
-}
-
-// ChildForOpt implements pagetree.Layout.
-func (t *Tree) ChildForOpt(d []byte, k idx.Key, lt bool) (uint32, bool) {
-	slot, _ := t.searchPage(buffer.Page{Data: d}, k, lt)
 	below := slot < 0
 	if below {
 		slot = 0
 	}
-	return t.ptr(d, slot), below
+	return t.readPtr(pg, slot), below
 }
 
 // ChildForInsert implements pagetree.Layout.
@@ -329,11 +285,11 @@ func (t *Tree) Delete(k idx.Key) (bool, error) {
 	// Concurrent mode pins the leaf exclusively; the descent itself
 	// needs no write latches — none at all when it runs latch-free —
 	// because lazy deletion never restructures.
-	pg, slot, found, err := t.findFirst(k, t.Conc())
-	if err != nil || !found {
+	pg, pos, err := t.Locate(k, t.Conc())
+	if pos < 0 {
 		return false, err
 	}
-	t.removeAt(pg, slot)
+	t.removeAt(pg, pos)
 	t.pool.Unpin(pg, true)
 	return true, nil
 }

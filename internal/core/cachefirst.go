@@ -435,9 +435,14 @@ func (t *CacheFirst) allocOverflowSlot(held buffer.Page) (ptr, error) {
 
 // --- charged access helpers ---
 
-// visitNode prefetches all lines of a node (pB+-Tree discipline).
+// visitNode prefetches all lines of a node (pB+-Tree discipline). As
+// for disk-first's nodes, the charges, the visit count and the trace
+// are simulate-mode work.
 func (t *CacheFirst) visitNode(pg buffer.Page, off int) {
 	prefetchNode(t.mm, pg, off, t.s)
+	if t.mm.Concurrent() {
+		return
+	}
 	t.mm.Busy(memsim.CostNodeVisit)
 	t.mm.Access(pg.Addr+uint64(nodeBase(off)), cfNodeHdr)
 	t.ops.NodeVisits.Add(1)

@@ -306,20 +306,20 @@ func prefetchNode(mm *memsim.Model, pg buffer.Page, off, lines int) {
 	prefetch.Range(pg.Data, nodeBase(off), lines*lineSize)
 }
 
-func (t *DiskFirst) visitNonleaf(pg buffer.Page, off int) {
-	prefetchNode(t.mm, pg, off, t.w)
-	t.mm.Busy(memsim.CostNodeVisit)
-	t.mm.Access(pg.Addr+uint64(nodeBase(off)), dfNonHdr)
-	t.ops.NodeVisits.Add(1)
-	if t.tr != nil {
-		t.tr.NodeVisit(pg.ID, off, t.mm.Now(), t.pool.Clock())
-	}
-}
+// visitNonleaf and visitLeaf visit the in-page node at line off: the
+// node's prefetch is always issued; the model charges, the visit count
+// and the trace are simulate-mode work, so in serve mode a visit stores
+// nothing and the latch-free reads may make it on a snapshot.
+func (t *DiskFirst) visitNonleaf(pg buffer.Page, off int) { t.visit(pg, off, t.w, dfNonHdr) }
+func (t *DiskFirst) visitLeaf(pg buffer.Page, off int)    { t.visit(pg, off, t.x, dfLeafHdr) }
 
-func (t *DiskFirst) visitLeaf(pg buffer.Page, off int) {
-	prefetchNode(t.mm, pg, off, t.x)
+func (t *DiskFirst) visit(pg buffer.Page, off, lines, hdr int) {
+	prefetchNode(t.mm, pg, off, lines)
+	if t.mm.Concurrent() {
+		return
+	}
 	t.mm.Busy(memsim.CostNodeVisit)
-	t.mm.Access(pg.Addr+uint64(nodeBase(off)), dfLeafHdr)
+	t.mm.Access(pg.Addr+uint64(nodeBase(off)), hdr)
 	t.ops.NodeVisits.Add(1)
 	if t.tr != nil {
 		t.tr.NodeVisit(pg.ID, off, t.mm.Now(), t.pool.Clock())

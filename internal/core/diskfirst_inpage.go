@@ -314,13 +314,14 @@ func (t *DiskFirst) haveNonleafRoom(d []byte, need int) bool {
 
 // ChildFor implements pagetree.Layout: the child pointer to follow for
 // k in a nonleaf page (clamping below the leftmost separator).
-func (t *DiskFirst) ChildFor(pg buffer.Page, k idx.Key, lt bool) uint32 {
+func (t *DiskFirst) ChildFor(pg buffer.Page, k idx.Key, lt bool) (uint32, bool) {
 	leafOff := t.descendInPage(pg, k, lt, nil)
 	t.visitLeaf(pg, leafOff)
 	slot, _ := t.search(pg, leafOff, k, lt)
-	if slot < 0 {
+	below := slot < 0
+	if below {
 		slot = 0
 	}
 	t.mm.Access(pg.Addr+uint64(t.ptrPos(leafOff, slot)), 4)
-	return t.ptrAt(pg.Data, leafOff, slot)
+	return t.ptrAt(pg.Data, leafOff, slot), below
 }

@@ -101,78 +101,45 @@ func (t *DiskFirst) Bulkload(entries []idx.Entry, fill float64) error {
 // Search implements idx.Index: two-granularity descent (§3.1.2). Point
 // lookups descend with strictly-less comparisons and walk forward over
 // the duplicate run (which may span in-page nodes and pages), so exact
-// matches survive deletions among duplicates.
+// matches survive deletions among duplicates. The page walk is
+// pagetree's; SeekLeaf is its in-page half.
 func (t *DiskFirst) Search(k idx.Key) (idx.TupleID, bool, error) {
 	t.ops.Searches.Add(1)
-	if tid, found, handled := t.searchOpt(k); handled {
-		return tid, found, nil
-	}
-	pg, off, slot, found, err := t.findFirst(k, false)
-	if err != nil || !found {
-		return 0, false, err
-	}
-	t.mm.Access(pg.Addr+uint64(t.ptrPos(off, slot)), 4)
-	tid := t.ptrAt(pg.Data, off, slot)
-	t.pool.Unpin(pg, false)
-	return tid, true, nil
+	return t.Lookup(k)
 }
 
-// findFirst locates the first entry with key == k, returning its pinned
-// page plus (in-page node, slot), or found=false. With excl the leaf
-// pages are pinned exclusively (concurrent Delete mutates in place) and
-// the walk starts, whenever it can, from the page a latch-free descent
-// latched (pagetree.StartLeafFor); it holds one leaf latch at a time,
-// moving rightward.
-func (t *DiskFirst) findFirst(k idx.Key, excl bool) (buffer.Page, int, int, bool, error) {
-	pg, pid, err := t.StartLeafFor(k, excl)
-	first := true
-	for ; pid != 0 && err == nil; pg = (buffer.Page{}) {
-		if !pg.Valid() {
-			if excl {
-				pg, err = t.pool.GetX(pid)
-			} else {
-				pg, err = t.pool.Get(pid)
-			}
-			if err != nil {
-				break
-			}
-		}
-		t.TouchHeader(pg)
-		if dfEntries(pg.Data) == 0 {
-			// Lazy deletion can leave empty pages; skip them without
-			// walking their in-page leaf chain.
-			next := dfNextPage(pg.Data)
-			t.pool.Unpin(pg, false)
-			pid = next
-			first = false
-			continue
-		}
-		var off int
-		if first {
-			off = t.descendInPage(pg, k, true, nil)
-			first = false
-		} else {
-			off = dfFirstLeaf(pg.Data)
-		}
-		for off != 0 {
-			t.visitLeaf(pg, off)
-			slot, _ := t.search(pg, off, k, true)
-			slot = t.nextOccupied(pg.Data, off, slot+1)
-			if slot >= 0 {
-				t.mm.Access(pg.Addr+uint64(t.keyPos(off, slot)), 4)
-				if t.key(pg.Data, off, slot) == k {
-					return pg, off, slot, true, nil
-				}
-				t.pool.Unpin(pg, false)
-				return buffer.Page{}, 0, 0, false, nil
-			}
-			off = t.lNext(pg.Data, off)
-		}
-		next := dfNextPage(pg.Data)
-		t.pool.Unpin(pg, false)
-		pid = next
+// SeekLeaf implements pagetree.Layout. A position is an in-page leaf
+// node and a slot, packed as off*capL + slot. With seek the in-page tree
+// is descended to the node for k; otherwise the walk starts at the
+// page's first node, and an empty page (lazy deletion leaves them) is
+// not walked at all. The node chain is followed at most pageLines hops:
+// on a torn snapshot it could cycle, which no bounds check would catch.
+func (t *DiskFirst) SeekLeaf(pg buffer.Page, k idx.Key, seek bool) (int, idx.Key) {
+	d := pg.Data
+	if dfEntries(d) == 0 {
+		return -1, 0
 	}
-	return buffer.Page{}, 0, 0, false, err
+	off := dfFirstLeaf(d)
+	if seek {
+		off = t.descendInPage(pg, k, true, nil)
+	}
+	for hops := 0; off != 0 && hops < t.pageLines; hops++ {
+		t.visitLeaf(pg, off)
+		slot, _ := t.search(pg, off, k, true)
+		if slot = t.nextOccupied(d, off, slot+1); slot >= 0 {
+			t.mm.Access(pg.Addr+uint64(t.keyPos(off, slot)), 4)
+			return off*t.capL + slot, t.key(d, off, slot)
+		}
+		off = t.lNext(d, off)
+	}
+	return -1, 0
+}
+
+// TupleAt implements pagetree.Layout.
+func (t *DiskFirst) TupleAt(pg buffer.Page, pos int) idx.TupleID {
+	off, slot := pos/t.capL, pos%t.capL
+	t.mm.Access(pg.Addr+uint64(t.ptrPos(off, slot)), 4)
+	return t.ptrAt(pg.Data, off, slot)
 }
 
 // Insert implements idx.Index.
@@ -370,11 +337,11 @@ func (t *DiskFirst) Delete(k idx.Key) (bool, error) {
 	// Concurrent mode pins the leaf exclusively; the descent itself
 	// needs no write latches — none at all when it runs latch-free —
 	// because lazy deletion never restructures.
-	pg, off, slot, found, err := t.findFirst(k, t.Conc())
-	if err != nil || !found {
+	pg, pos, err := t.Locate(k, t.Conc())
+	if pos < 0 {
 		return false, err
 	}
-	t.remove(pg, off, slot)
+	t.remove(pg, pos/t.capL, pos%t.capL)
 	dfSetEntries(pg.Data, dfEntries(pg.Data)-1)
 	t.pool.Unpin(pg, true)
 	return true, nil

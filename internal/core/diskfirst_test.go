@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/idx"
 	"repro/internal/treetest"
 )
@@ -38,6 +40,53 @@ func TestDiskFirstChaos(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			treetest.RunChaos(t, 4<<10, dfFactory(false, 0, 0), seed, 6000)
 		})
+	}
+}
+
+// TestSeekLeafHopBound: the latch-free lookup runs SeekLeaf on
+// unvalidated bytes, where a torn next offset can close the in-page
+// leaf chain into a cycle that no bounds check would catch. On a leaf
+// page whose last in-page leaf node links back to the first, SeekLeaf
+// for a key above every entry must give up (-1), not spin.
+func TestSeekLeafHopBound(t *testing.T) {
+	env := treetest.NewEnv(4<<10, 64)
+	tr, err := NewDiskFirst(DiskFirstConfig{Pool: env.Pool, Model: env.Model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := env.Pool.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Pool.Unpin(pg, true)
+	d := pg.Data
+	if err := tr.InitLeafRoot(d); err != nil {
+		t.Fatal(err)
+	}
+	for k := idx.Key(1); k <= 100; k++ {
+		if ok, err := tr.InsertOnePage(pg, k, k); !ok || err != nil {
+			t.Fatalf("InsertOnePage(%d) = (%v, %v)", k, ok, err)
+		}
+	}
+	nodes, last := 1, dfFirstLeaf(d)
+	for ; tr.lNext(d, last) != 0; last = tr.lNext(d, last) {
+		nodes++
+	}
+	tr.lSetNext(d, last, dfFirstLeaf(d))
+	for _, seek := range []bool{false, true} {
+		done := make(chan int, 1)
+		go func() {
+			pos, _ := tr.SeekLeaf(buffer.Page{Data: d}, 1000, seek)
+			done <- pos
+		}()
+		select {
+		case pos := <-done:
+			if pos != -1 {
+				t.Fatalf("SeekLeaf(seek=%v) over a %d-node cycle = %d, want -1", seek, nodes, pos)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("SeekLeaf(seek=%v) is still walking a %d-node in-page cycle", seek, nodes)
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ func (t *Tree) SearchBatch(keys []idx.Key, out []idx.SearchResult) ([]idx.Search
 			t.lay.TouchHeader(pg)
 			j := i
 			for ; j < n && s.Cur[j] == pid; j++ {
-				child := t.lay.ChildFor(pg, keys[s.Ord[j]], true)
+				child, _ := t.lay.ChildFor(pg, keys[s.Ord[j]], true)
 				if child == 0 {
 					t.pool.Unpin(pg, false)
 					return out, errNilChild
@@ -56,8 +56,8 @@ func (t *Tree) SearchBatch(keys []idx.Key, out []idx.SearchResult) ([]idx.Search
 		}
 	}
 
-	// Leaf phase: resolve each key from its landing page, replicating
-	// the per-key lookup walk (duplicate runs may span pages).
+	// Leaf phase: each key takes the point lookup's walk from its
+	// landing page, which stays pinned for the next key.
 	for i := 0; i < n; {
 		pid := s.Cur[i]
 		pg, err := t.pool.Get(pid)
@@ -68,12 +68,19 @@ func (t *Tree) SearchBatch(keys []idx.Key, out []idx.SearchResult) ([]idx.Search
 		j := i
 		for ; j < n && s.Cur[j] == pid; j++ {
 			ki := s.Ord[j]
-			tid, found, err := t.lay.ResolveLeaf(pg, keys[ki])
+			at, pos, err := t.seek(pg, keys[ki], false, false)
 			if err != nil {
 				t.pool.Unpin(pg, false)
 				return out, err
 			}
-			out[base+int(ki)] = idx.SearchResult{TID: tid, Found: found}
+			var r idx.SearchResult
+			if pos >= 0 {
+				r = idx.SearchResult{TID: t.lay.TupleAt(at, pos), Found: true}
+				if at.ID != pid {
+					t.pool.Unpin(at, false)
+				}
+			}
+			out[base+int(ki)] = r
 		}
 		t.pool.Unpin(pg, false)
 		i = j

@@ -34,9 +34,11 @@ var layoutRows = []struct {
 
 // TestChildForOptAgrees: the latch-free descent must route exactly like
 // the latched one. On every layout, over a nonleaf page filled to its
-// bound, ChildForOpt names the child ChildFor names for keys below,
-// between, on and above the separators, under both comparisons, and
-// reports below exactly when the key was clamped.
+// bound, ChildFor on a snapshot of the page's bytes (a zero Addr, as
+// the latch-free descent passes it) names the child ChildFor on the
+// pinned page names for keys below, between, on and above the
+// separators, under both comparisons, and both report below exactly
+// when the key was clamped.
 func TestChildForOptAgrees(t *testing.T) {
 	for _, row := range layoutRows {
 		mm := memsim.NewDefault()
@@ -63,10 +65,10 @@ func TestChildForOptAgrees(t *testing.T) {
 		}
 		for k := idx.Key(90); k < top+100; k += 5 {
 			for _, lt := range []bool{false, true} {
-				want := lay.ChildFor(pg, k, lt)
-				got, below := lay.ChildForOpt(pg.Data, k, lt)
-				if clamped := k < 100 || (lt && k == 100); got != want || below != clamped {
-					t.Fatalf("%s: ChildForOpt(%d, lt=%v) = (%d, %v), ChildFor = %d, clamped = %v", row.name, k, lt, got, below, want, clamped)
+				want, wantBelow := lay.ChildFor(pg, k, lt)
+				got, below := lay.ChildFor(buffer.Page{Data: pg.Data}, k, lt)
+				if clamped := k < 100 || (lt && k == 100); got != want || below != clamped || wantBelow != clamped {
+					t.Fatalf("%s: ChildFor(%d, lt=%v) = (%d, %v) on a snapshot, (%d, %v) pinned, clamped = %v", row.name, k, lt, got, below, want, wantBelow, clamped)
 				}
 			}
 		}

@@ -47,7 +47,7 @@ func (t *Tree) LeafForOpt(k idx.Key, lt bool) (leaf uint32, via buffer.OptPage, 
 				return 0, buffer.OptPage{}, false, buffer.OptRetry
 			}
 		}
-		child, b := t.lay.ChildForOpt(pg.Data, k, lt)
+		child, b := t.lay.ChildFor(buffer.Page{ID: pg.ID, Data: pg.Data}, k, lt)
 		if child == 0 {
 			// No consistent nonleaf page has a nil child: a torn read.
 			return 0, buffer.OptPage{}, false, buffer.OptRetry
@@ -86,26 +86,6 @@ func (t *Tree) writeLeafForOpt(k idx.Key, insert bool) (leaf uint32, via buffer.
 	}()
 	leaf, via, below, st := t.LeafForOpt(k, !insert)
 	return leaf, via, st == buffer.OptDone && via.Valid() && !(insert && below)
-}
-
-// StartLeafFor begins a walk along the leaf chain for the first entry
-// == k: pid is the leaf page the strictly-less descent lands on (0 on an
-// empty tree). With excl — a concurrent Delete, walking one exclusive
-// latch at a time — it tries the leaf-only protocol first and hands the
-// page over already latched in pg (else the caller pins pid), counting
-// the delete as leaf-only or as structural.
-func (t *Tree) StartLeafFor(k idx.Key, excl bool) (pg buffer.Page, pid uint32, err error) {
-	if excl {
-		if lp, ok := t.LatchLeafOpt(k, false); ok {
-			t.pool.Latches().OptWrite()
-			return lp, lp.ID, nil
-		}
-		t.pool.Latches().OptWriteFallback()
-	}
-	if root, height := t.RootHeight(); root != 0 {
-		pid, err = t.LeafFor(root, height, k, true)
-	}
-	return buffer.Page{}, pid, err
 }
 
 // insertLeafOpt is the leaf-only Insert: done=false (the page untouched

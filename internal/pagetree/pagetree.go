@@ -7,7 +7,7 @@
 //
 // Everything here works on whole pages: the root and leftmost-leaf
 // state, the descent to a leaf page (latched and latch-free), the
-// serial insert with its root grow, the leaf-only write and the
+// point lookup's leaf walk (lookup.go), the serial insert with its root grow, the leaf-only write and the
 // exclusive latch crabbing behind it, the level-wise batch descent, the
 // range scan in both directions with its jump-pointer prefetch window
 // (scan.go), the level walk, scavenge and the durable meta. What a page
@@ -29,19 +29,20 @@ import (
 // Layout is what distinguishes one page-granular tree from another. A
 // pointer p is a tuple ID in a leaf page and a child page ID above.
 // Methods taking a buffer.Page charge the memory model and may pin
-// further pages; methods taking the raw bytes are uncharged reads.
+// further pages; methods taking the raw bytes are uncharged reads. The
+// latch-free reads hand ChildFor, SeekLeaf and TupleAt an unvalidated
+// page snapshot as a buffer.Page with a zero Addr: they run only in
+// serve mode, where the charges are no-ops and a visit stores nothing,
+// and a torn snapshot can at worst fail a bounds check, which the
+// caller recovers as a retry.
 type Layout interface {
 	// TouchHeader charges the visit of a freshly pinned page.
 	TouchHeader(pg buffer.Page)
 	// ChildFor returns the child of nonleaf page pg to follow for k,
-	// clamping below the leftmost separator. lt descends with
-	// strictly-less comparisons (lookups and forward scans, so
-	// duplicates equal to a separator are not skipped).
-	ChildFor(pg buffer.Page, k idx.Key, lt bool) uint32
-	// ChildForOpt is ChildFor over the bytes of an unvalidated optimistic
-	// snapshot: no charge, no visit statistics. below reports that k fell
-	// below the leftmost separator and was clamped.
-	ChildForOpt(d []byte, k idx.Key, lt bool) (child uint32, below bool)
+	// clamping below the leftmost separator, which below reports. lt
+	// descends with strictly-less comparisons (lookups and forward
+	// scans, so duplicates equal to a separator are not skipped).
+	ChildFor(pg buffer.Page, k idx.Key, lt bool) (child uint32, below bool)
 	// ChildForInsert is ChildFor for an insert: when k falls below the
 	// page's minimum separator it lowers that separator to k, so that
 	// separators remain true lower bounds, and reports the page dirty.
@@ -63,10 +64,15 @@ type Layout interface {
 	InitRoot(d []byte, level int, leftMin idx.Key, left uint32, sep idx.Key, right uint32) error
 	// MinKey reads the page's smallest key (its separator one level up).
 	MinKey(d []byte) idx.Key
-	// ResolveLeaf finishes a point lookup for k from the pinned leaf
-	// page pg, which the caller unpins, walking right siblings when a
-	// duplicate run spans pages.
-	ResolveLeaf(pg buffer.Page, k idx.Key) (idx.TupleID, bool, error)
+	// SeekLeaf returns the position of the first live entry >= k in
+	// leaf page pg and its key, charging the search, or pos -1 when
+	// every entry is < k. seek selects the in-page search — on a point
+	// walk's first page — over a walk from the page's first entry. Every
+	// loop is bounded by the page, so it returns on a torn snapshot.
+	SeekLeaf(pg buffer.Page, k idx.Key, seek bool) (pos int, key idx.Key)
+	// TupleAt reads the tuple ID at a position SeekLeaf returned,
+	// charging the access.
+	TupleAt(pg buffer.Page, pos int) idx.TupleID
 	// SalvageLeaf appends the entries of a leaf page to dst in key
 	// order; ok=false means the bytes are not a plausible leaf page.
 	SalvageLeaf(d []byte, dst []idx.Entry) (out []idx.Entry, ok bool)
@@ -231,7 +237,7 @@ func (t *Tree) LeafFor(root uint32, height int, k idx.Key, lt bool) (uint32, err
 			return 0, err
 		}
 		t.lay.TouchHeader(pg)
-		pid = t.lay.ChildFor(pg, k, lt)
+		pid, _ = t.lay.ChildFor(pg, k, lt)
 		if t.conc && pid != 0 {
 			parent = pg
 		} else {

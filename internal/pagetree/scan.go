@@ -134,7 +134,7 @@ func (t *Tree) leafPagesBetween(root uint32, height int, lo idx.Key, first, last
 			return nil, err
 		}
 		t.lay.TouchHeader(pg)
-		pid = t.lay.ChildFor(pg, lo, true)
+		pid, _ = t.lay.ChildFor(pg, lo, true)
 		t.pool.Unpin(pg, false)
 	}
 	extra := 0
